@@ -13,6 +13,14 @@ class ScalingOverflowError(DepotChargeError):
     """Scaled integer quantities exceed the supported integer range."""
 
 
+class SolverError(DepotChargeError):
+    """A solver's internal check failed.
+
+    This signals a defect or a numerical breakdown in the solver, not a
+    property of the input: the result it was about to return is unsound.
+    """
+
+
 class WindowInfeasibleError(DepotChargeError):
     """A charging job cannot receive its energy within its time window."""
 

@@ -20,9 +20,12 @@ off one at a time, highest level first:
    baseload for the rest), and the remainder is a smaller instance of
    the same problem with strictly fewer intervals.
 
-A final max flow against integer per-interval targets extracts one
-feasible allocation.  The aggregate profile is unique even though the
-per-job decomposition is not.
+Each peel round builds one :class:`~depotcharge.flow.JobIntervalNetwork`
+over its remaining jobs and the intervals they reach, and every probe of
+the round only rewrites the sink capacities on it.  A final max flow
+against integer per-interval targets, on the network of the whole
+instance, extracts one feasible allocation.  The aggregate profile is
+unique even though the per-job decomposition is not.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError
-from .flow import max_flow, residual_reachable
+from .errors import InfeasibleError, SolverError
+from .flow import JobIntervalNetwork, _repair_delivery, _snap, max_flow, residual_reachable
 from .model import BaseloadSeries, Instance, Schedule
 
 #: Largest scaled magnitude handed to the 32-bit max-flow kernel.
@@ -97,7 +100,7 @@ def solve_flatten(problem: FlattenProblem) -> Schedule:
     b_int = np.rint(base_f * scale).astype(np.int64)
 
     target_int = _peel_targets(instance, energies, rates, e_int, l_int, base_f, b_int, scale)
-    allocations = _extract(instance, energies, rates, e_int, scale, target_int, base_f)
+    allocations = _extract(instance, rates, e_int, scale, target_int, base_f)
     return Schedule.build(instance, allocations)
 
 
@@ -128,7 +131,7 @@ def _min_int_level(basins: np.ndarray, volume: int) -> int:
     upper[-1] = np.iinfo(np.int64).max
     valid = np.flatnonzero((candidates > order) & (candidates <= upper))
     if len(valid) == 0:
-        raise AssertionError("integer water fill found no level")
+        raise SolverError("integer water fill found no level")
     return int(candidates[valid[0]])
 
 
@@ -152,6 +155,8 @@ def _float_water_fill(basins: np.ndarray, volume: float) -> tuple[float, int]:
 
 def _apportion(raw: np.ndarray, total: int) -> np.ndarray:
     """Integer shares summing to `total`, tracking the float shares `raw`."""
+    if total < 0:
+        raise SolverError(f"cannot apportion a negative total of {total} grid units")
     raw = np.maximum(raw, 0.0)
     shares = np.floor(raw).astype(np.int64)
     fracs = raw - shares
@@ -175,64 +180,6 @@ def _apportion(raw: np.ndarray, total: int) -> np.ndarray:
     return shares
 
 
-class _ProbeNetwork:
-    """Max-flow probe for one peel round; only sink caps vary per level."""
-
-    def __init__(
-        self,
-        jobs_idx: np.ndarray,
-        ints_idx: np.ndarray,
-        windows: list[np.ndarray],
-        e_int: np.ndarray,
-        l_int: np.ndarray,
-        b_eff_i: np.ndarray,
-    ) -> None:
-        self.jobs_idx = jobs_idx
-        self.ints_idx = ints_idx
-        self.n = len(jobs_idx)
-        self.ni = len(ints_idx)
-        self.node_count = 2 + self.n + self.ni
-        self.sink = self.node_count - 1
-        local = np.full(int(ints_idx.max()) + 1 if len(ints_idx) else 1, -1, dtype=np.int64)
-        local[ints_idx] = np.arange(self.ni)
-
-        counts = np.array([len(windows[k]) for k in jobs_idx], dtype=np.int64)
-        window_ints = (
-            np.concatenate([windows[k] for k in jobs_idx])
-            if len(jobs_idx)
-            else np.empty(0, dtype=np.int64)
-        )
-        job_nodes = 1 + np.arange(self.n, dtype=np.int64)
-        int_nodes = 1 + self.n + np.arange(self.ni, dtype=np.int64)
-        self.tails = np.concatenate(
-            [np.zeros(self.n, dtype=np.int64), np.repeat(job_nodes, counts), int_nodes]
-        )
-        self.heads = np.concatenate(
-            [job_nodes, 1 + self.n + local[window_ints], np.full(self.ni, self.sink)]
-        )
-        self.caps = np.concatenate(
-            [e_int[jobs_idx], np.repeat(l_int[jobs_idx], counts), np.zeros(self.ni, dtype=np.int64)]
-        )
-        sink_first = len(self.tails) - self.ni
-        self.sink_slice = slice(sink_first, sink_first + self.ni)
-        self.basins = b_eff_i[ints_idx]
-
-    def run(self, level: int) -> tuple[int, np.ndarray]:
-        caps = self.caps
-        caps[self.sink_slice] = np.maximum(level - self.basins, 0)
-        value, flows = max_flow(self.node_count, self.tails, self.heads, caps, 0, self.sink)
-        return value, flows
-
-    def cut(self, flows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Source-reachable jobs and intervals (global indices)."""
-        mask = residual_reachable(
-            self.node_count, self.tails, self.heads, self.caps, flows, 0
-        )
-        cut_jobs = self.jobs_idx[mask[1 : 1 + self.n]]
-        cut_ints = self.ints_idx[mask[1 + self.n : 1 + self.n + self.ni]]
-        return cut_jobs, cut_ints
-
-
 def _peel_targets(
     instance: Instance,
     energies: np.ndarray,
@@ -245,10 +192,10 @@ def _peel_targets(
 ) -> np.ndarray:
     """Per-interval integer charge targets realizing the water-fill optimum."""
     m = instance.interval_count
-    jobs = instance.jobs
-    active_job = np.ones(len(jobs), dtype=bool)
-    interval_active = np.ones(m, dtype=bool)
-    windows = [np.arange(job.arrival, job.departure) for job in jobs]
+    arrivals = np.array([job.arrival for job in instance.jobs])
+    departures = np.array([job.departure for job in instance.jobs])
+    active_job = np.ones(len(instance.jobs), dtype=bool)
+    open_interval = np.ones(m, dtype=bool)
     b_eff_f = base_f.copy()
     b_eff_i = b_int.copy()
     target_int = np.zeros(m, dtype=np.int64)
@@ -258,42 +205,60 @@ def _peel_targets(
         if len(jobs_idx) == 0:
             break
         volume = int(e_int[jobs_idx].sum())
-        reach = np.zeros(m, dtype=bool)
-        for k in jobs_idx:
-            reach[windows[k]] = True
-        ints_idx = np.flatnonzero(reach)
-        probe = _ProbeNetwork(jobs_idx, ints_idx, windows, e_int, l_int, b_eff_i)
+        # A job's window is its open intervals.  Numbered among the open
+        # intervals some remaining job reaches, every window is a range.
+        cover = np.zeros(m + 1, dtype=np.int64)
+        np.add.at(cover, arrivals[jobs_idx], 1)
+        np.add.at(cover, departures[jobs_idx], -1)
+        ints_idx = np.flatnonzero((np.cumsum(cover[:m]) > 0) & open_interval)
+        starts = np.searchsorted(ints_idx, arrivals[jobs_idx])
+        stops = np.searchsorted(ints_idx, departures[jobs_idx])
+        network = JobIntervalNetwork(starts, stops, len(ints_idx))
+        basins = b_eff_i[ints_idx]
+        capacities = network.capacities(
+            e_int[jobs_idx], l_int[jobs_idx], np.zeros(len(ints_idx), dtype=np.int64)
+        )
+        sink_arcs = network.sink_arcs()
+
+        def probe(level: int) -> tuple[int, np.ndarray]:
+            capacities[sink_arcs] = np.maximum(level - basins, 0)
+            return max_flow(network, capacities)
+
+        def cut(flows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            """Source-side jobs and intervals, and each job's window count outside."""
+            reachable = residual_reachable(network, capacities, flows)
+            cut_int = reachable[network.interval_nodes()]
+            outside = np.bincount(
+                network.arc_job[~cut_int[network.arc_interval]], minlength=len(jobs_idx)
+            )
+            return reachable[network.job_nodes()], cut_int, outside
 
         # Each violated cut states the exact level it needs; jumping there
         # reaches the minimal feasible level without a bisection ladder.
         # Per-job fills are necessary conditions too, so the search can
         # start at the tightest of those instead of the pooled volume.
-        level = _min_int_level(b_eff_i[ints_idx], volume)
-        for k in jobs_idx:
-            level = max(level, _min_int_level(b_eff_i[windows[k]], int(e_int[k])))
+        level = _min_int_level(basins, volume)
+        for lo, hi, energy in zip(starts, stops, e_int[jobs_idx]):
+            level = max(level, _min_int_level(basins[lo:hi], int(energy)))
         while True:
-            value, flows = probe.run(level)
+            value, flows = probe(level)
             if value == volume:
                 break
-            cut_jobs, cut_ints = probe.cut(flows)
-            in_cut = np.zeros(m, dtype=bool)
-            in_cut[cut_ints] = True
-            outside = np.array(
-                [len(windows[k]) - int(in_cut[windows[k]].sum()) for k in cut_jobs]
+            cut_job, cut_int, outside = cut(flows)
+            cut_volume = int(
+                e_int[jobs_idx][cut_job].sum() - (l_int[jobs_idx] * outside)[cut_job].sum()
             )
-            cut_volume = int(e_int[cut_jobs].sum() - (l_int[cut_jobs] * outside).sum())
-            nxt = _min_int_level(b_eff_i[cut_ints], cut_volume)
-            assert nxt > level, "parametric level search failed to advance"
+            nxt = _min_int_level(basins[cut_int], cut_volume)
+            if nxt <= level:
+                raise SolverError(f"parametric level search failed to advance past {level}")
             level = nxt
 
         # The critical group binds one grid step below the minimal level.
-        value, flows = probe.run(level - 1)
-        cut_jobs, cut_ints = probe.cut(flows)
-        in_cut = np.zeros(m, dtype=bool)
-        in_cut[cut_ints] = True
-        outside_counts = np.array(
-            [len(windows[k]) - int(in_cut[windows[k]].sum()) for k in cut_jobs]
-        )
+        value, flows = probe(level - 1)
+        cut_job, cut_int, outside = cut(flows)
+        cut_jobs = jobs_idx[cut_job]
+        cut_ints = ints_idx[cut_int]
+        outside_counts = outside[cut_job]
         group_volume_f = float(
             energies[cut_jobs].sum() - (rates[cut_jobs] * outside_counts).sum()
         )
@@ -308,24 +273,21 @@ def _peel_targets(
 
         # Cut jobs saturate every window interval left outside the cut;
         # that spill is immovable and becomes baseload for the remainder.
-        for k in cut_jobs:
-            spill_into = windows[k][~in_cut[windows[k]]]
-            if len(spill_into):
-                target_int[spill_into] += l_int[k]
-                b_eff_i[spill_into] += l_int[k]
-                b_eff_f[spill_into] += rates[k]
+        # Arcs are job-major, so each interval takes its spills in job order.
+        spill = cut_job[network.arc_job] & ~cut_int[network.arc_interval]
+        spill_jobs = jobs_idx[network.arc_job[spill]]
+        spill_ints = ints_idx[network.arc_interval[spill]]
+        np.add.at(target_int, spill_ints, l_int[spill_jobs])
+        np.add.at(b_eff_i, spill_ints, l_int[spill_jobs])
+        np.add.at(b_eff_f, spill_ints, rates[spill_jobs])
 
         active_job[cut_jobs] = False
-        interval_active[cut_ints] = False
-        for k in np.flatnonzero(active_job):
-            w = windows[k]
-            windows[k] = w[~in_cut[w]]
+        open_interval[cut_ints] = False
     return target_int
 
 
 def _extract(
     instance: Instance,
-    energies: np.ndarray,
     rates: np.ndarray,
     e_int: np.ndarray,
     scale: int,
@@ -333,96 +295,21 @@ def _extract(
     base_f: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """Decompose per-interval targets into one feasible allocation."""
-    jobs = instance.jobs
-    n = len(jobs)
-    m = instance.interval_count
-    tails: list[int] = []
-    heads: list[int] = []
-    caps: list[int] = []
-    for k, job in enumerate(jobs):
-        tails.append(0)
-        heads.append(1 + k)
-        caps.append(int(e_int[k]))
-    arc_job: list[int] = []
-    arc_interval: list[int] = []
-    for k, job in enumerate(jobs):
-        cap = _snap_ceil(rates[k] * scale)
-        for i in job.window:
-            tails.append(1 + k)
-            heads.append(1 + n + i)
-            caps.append(cap)
-            arc_job.append(k)
-            arc_interval.append(i)
-    sink_first = len(tails)
-    for i in range(m):
-        tails.append(1 + n + i)
-        heads.append(1 + n + m)
-        caps.append(int(target_int[i]))
-
-    tails_arr = np.asarray(tails, dtype=np.int64)
-    heads_arr = np.asarray(heads, dtype=np.int64)
-    caps_arr = np.asarray(caps, dtype=np.int64)
+    network = JobIntervalNetwork.from_instance(instance)
+    capacities = network.capacities(e_int, _snap(rates * scale, np.ceil), target_int)
     total = int(e_int.sum())
-    value, flows = max_flow(2 + n + m, tails_arr, heads_arr, caps_arr, 0, 1 + n + m)
+    value, flows = max_flow(network, capacities)
     if value < total:
         # Integer rounding of the targets can pinch a corner; one unit of
         # headroom per interval restores an exact decomposition.
-        caps_arr[sink_first:] += 1
-        value, flows = max_flow(2 + n + m, tails_arr, heads_arr, caps_arr, 0, 1 + n + m)
+        capacities[network.sink_arcs()] += 1
+        value, flows = max_flow(network, capacities)
         if value < total:
             raise InfeasibleError("could not decompose the flattened profile into allocations")
 
-    allocations = {
-        job.id: np.zeros(job.departure - job.arrival) for job in jobs
-    }
-    job_arc_flows = flows[n:sink_first]
-    for pos in range(len(arc_job)):
-        job = jobs[arc_job[pos]]
-        allocations[job.id][arc_interval[pos] - job.arrival] = job_arc_flows[pos] / scale
-
-    _repair_delivery(instance, allocations, rates, base_f)
-    return allocations
-
-
-def _snap_ceil(value: float) -> int:
-    nearest = round(value)
-    if abs(value - nearest) <= 1e-6 * max(1.0, abs(value)):
-        return int(nearest)
-    return int(np.ceil(value))
-
-
-def _repair_delivery(
-    instance: Instance,
-    allocations: dict[str, np.ndarray],
-    rates: np.ndarray,
-    base_f: np.ndarray,
-) -> None:
-    """Absorb sub-grid delivery residuals left by integer extraction.
-
-    Positive residual goes to the lowest-total window interval with rate
-    headroom, negative comes out of the highest, so the adjustment never
-    disturbs the water-fill shape by more than the residual itself.
-    """
+    windows = network.job_windows(flows / scale)
+    allocations = {job.id: values for job, values in zip(instance.jobs, windows)}
+    # Residuals go to the lowest current totals first.
     totals = base_f.copy()
-    for job in instance.jobs:
-        totals[job.arrival : job.departure] += allocations[job.id]
-    for k, job in enumerate(instance.jobs):
-        values = allocations[job.id]
-        residual = job.energy_kwh - float(values.sum())
-        if abs(residual) < 1e-12:
-            continue
-        window = np.arange(job.arrival, job.departure)
-        order = np.argsort(totals[window], kind="stable")
-        if residual < 0:
-            order = order[::-1]
-        for offset in order:
-            if residual > 0:
-                step = min(residual, rates[k] - values[offset])
-            else:
-                step = max(residual, -values[offset])
-            if step != 0.0:
-                values[offset] += step
-                totals[window[offset]] += step
-                residual -= step
-            if abs(residual) < 1e-12:
-                break
+    _repair_delivery(instance, allocations, totals, totals)
+    return allocations

@@ -1,12 +1,21 @@
-"""Minimum-emission scheduling as a minimum-cost flow problem.
+"""The job/interval flow network and minimum-emission scheduling.
 
-The network has one source, one node per job, one node per interval, and
-one sink.  The source feeds each job with its energy need, each job
-feeds the intervals of its availability window at the per-interval rate
-bound, and each interval drains into the sink at the aggregate cap (or
-an amount that never binds, when the instance has no caps) paying the
-interval's emission factor per unit.  An integral minimum-cost flow on
-this network is exactly a minimum-CO2 schedule.
+Every scheduler in this package works on one network: a source, one node
+per job, one node per interval and a sink.  The source feeds each job
+its energy need, each job feeds the intervals of its availability window
+at the per-interval rate bound, and each interval drains into the sink.
+:class:`JobIntervalNetwork` fixes that numbering and the arc order and
+builds the max-flow matrix once; the solvers differ only in the integer
+capacities they put on its arcs.  :func:`max_flow` is the "how much fits"
+oracle, and :func:`residual_reachable` reads the binding cut off a flow.
+
+Minimum-emission scheduling is a minimum-cost flow on that network, with
+each sink arc capped by the aggregate cap (or an amount that never
+binds, when the instance has no caps) and paying the interval's emission
+factor per unit.  Capped instances run the network solver, and every
+such solve is checked by the optimality certificate
+(:func:`verify_optimality`); without caps the problem separates per job
+and is filled greedily.
 
 Quantities are scaled to integers before solving: energies at watt-hour
 resolution, emission factors at 1e-6 kg/kWh resolution.  The solver is
@@ -25,7 +34,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
-from .errors import InfeasibleError, ScalingOverflowError
+from .errors import InfeasibleError, ScalingOverflowError, SolverError
 from .model import FeasibilityReport, Instance, Schedule
 
 #: Largest scaled magnitude representable exactly on the float path.
@@ -58,80 +67,113 @@ class EmissionSeries:
         return len(self.kg_per_kwh)
 
 
-@dataclass(frozen=True)
-class Scaling:
-    """Integer scaling used to make the flow problem exact.
+#: Integer units per kWh: energies and rates at watt-hour resolution.
+_ENERGY_SCALE = 1000
 
-    Attributes:
-        energy: Units per kWh; the default of 1000 is watt-hour resolution.
-        cost: Units per kg/kWh for emission factors.
-    """
-
-    energy: int = 1000
-    cost: int = 1_000_000
-
-    def __post_init__(self) -> None:
-        if self.energy < 1 or self.cost < 1:
-            raise ValueError("scaling factors must be positive integers")
+#: Integer units per kg/kWh for emission factors.
+_COST_SCALE = 1_000_000
 
 
-def _scaled(value: float, factor: int, what: str) -> int:
-    scaled = value * factor
-    if scaled > _INT_LIMIT:
+def _scaled(values, factor: int, what: str, labels) -> np.ndarray:
+    """``values * factor`` as floats, refusing magnitudes past exact float range."""
+    scaled = np.asarray(values, dtype=float) * factor
+    over = np.flatnonzero(scaled > _INT_LIMIT)
+    if len(over):
+        k = int(over[0])
         raise ScalingOverflowError(
-            f"{what} {value} exceeds the exactly representable range at scale {factor}"
+            f"{what} {labels[k]!r} ({values[k]}) exceeds the exactly representable range "
+            f"at scale {factor}"
         )
-    return int(round(scaled))
+    return scaled
 
 
-def _scaled_floor(value: float, factor: int, what: str) -> int:
+def _snap(values: np.ndarray, rounding) -> np.ndarray:
+    """Nearest integers for values within float noise of one, else ``rounding``."""
+    nearest = np.rint(values)
+    on_grid = np.abs(values - nearest) <= 1e-6 * np.maximum(1.0, np.abs(values))
+    return np.where(on_grid, nearest, rounding(values)).astype(np.int64)
+
+
+def _scaled_caps(instance: Instance, factor: int) -> np.ndarray:
     # Caps snap to the grid when they sit on it up to float noise and are
     # floored otherwise, so the scaled problem never allocates above the
     # true cap by more than noise.
-    scaled = value * factor
-    if scaled > _INT_LIMIT:
-        raise ScalingOverflowError(
-            f"{what} {value} exceeds the exactly representable range at scale {factor}"
-        )
-    nearest = round(scaled)
-    if abs(scaled - nearest) <= 1e-6 * max(1.0, abs(scaled)):
-        return int(nearest)
-    return int(scaled)
+    caps = instance.caps_kwh
+    return _snap(_scaled(caps, factor, "cap at interval", range(len(caps))), np.floor)
 
 
-@dataclass(frozen=True)
-class FlowNetwork:
-    """The scheduling network in arc-array form.
+class JobIntervalNetwork:
+    """Source -> jobs -> intervals -> sink, built once and probed many times.
 
     Nodes are numbered source = 0, job k = 1 + k, interval i = 1 + n + i,
-    sink = 1 + n + m.  Arcs are stored in three contiguous blocks: source
-    arcs (one per job), job arcs (one per job/window-interval pair), and
-    sink arcs (one per interval).
+    sink = 1 + n + m.  Job k reaches the intervals ``starts[k]`` up to
+    ``stops[k] - 1``.  Arcs are stored in CSR order (rows in order,
+    columns sorted within each row), which is also three contiguous
+    blocks: source arcs (one per job), job arcs (one per job/window
+    interval pair, job-major) and sink arcs (one per interval).
+    Capacities and flows are arrays in that arc order.
 
     Attributes:
-        job_ids: Job identifiers, in job-node order.
-        interval_count: Number of interval nodes.
-        tails, heads: Arc endpoints.
-        capacities: Scaled integer arc capacities.
-        costs: Scaled integer arc costs (zero outside the sink arcs).
-        job_arc_job: For each job arc, the job index it belongs to.
-        job_arc_interval: For each job arc, the interval it reaches.
-        scaling: The integer scaling the capacities and costs use.
+        job_count, interval_count: n and m.
+        widths: Number of window intervals per job.
+        arc_job, arc_interval: Job and interval of each job arc.
+        tails, heads: Node endpoints of every arc.
     """
 
-    job_ids: tuple[str, ...]
-    interval_count: int
-    tails: np.ndarray
-    heads: np.ndarray
-    capacities: np.ndarray
-    costs: np.ndarray
-    job_arc_job: np.ndarray
-    job_arc_interval: np.ndarray
-    scaling: Scaling
+    def __init__(self, starts, stops, interval_count: int) -> None:
+        starts = np.asarray(starts, dtype=np.int64)
+        widths = np.asarray(stops, dtype=np.int64) - starts
+        n, m, w = len(starts), interval_count, int(widths.sum())
+        self.job_count = n
+        self.interval_count = m
+        self.widths = widths
+        self.arc_job = np.repeat(np.arange(n), widths)
+        self.arc_interval = np.arange(w) + np.repeat(starts - (np.cumsum(widths) - widths), widths)
+        nodes = self.node_count
+        self.tails = np.concatenate(
+            [np.zeros(n, dtype=np.int64), 1 + self.arc_job, 1 + n + np.arange(m)]
+        ).astype(np.int32)
+        self.heads = np.concatenate(
+            [1 + np.arange(n), 1 + n + self.arc_interval, np.full(m, self.sink)]
+        ).astype(np.int32)
+        row_lengths = np.bincount(self.tails, minlength=nodes)
+        self._graph = csr_matrix(
+            (np.zeros(self.arc_count, dtype=np.int32), self.heads,
+             np.concatenate([[0], np.cumsum(row_lengths)]).astype(np.int32)),
+            shape=(nodes, nodes),
+        )
 
-    @property
-    def job_count(self) -> int:
-        return len(self.job_ids)
+        # The kernel pairs every arc with a reverse arc and reports flows on
+        # that merged pattern, sorted by row and then column.  Row 0 holds
+        # the source arcs; job k's row its reverse source arc, then its
+        # window; interval i's row the reverse arcs of the jobs reaching i,
+        # then its sink arc; the sink row the reverse sink arcs.
+        offsets = np.cumsum(widths) - widths
+        per_interval = np.cumsum(np.bincount(self.arc_interval, minlength=m))
+        by_interval = np.argsort(self.arc_interval, kind="stable")
+        reverse_job = np.empty(w, dtype=np.int64)
+        reverse_job[by_interval] = 2 * n + w + np.arange(w) + self.arc_interval[by_interval]
+        self._forward = np.concatenate([
+            np.arange(n), n + 1 + self.arc_job + np.arange(w), 2 * n + w + per_interval + np.arange(m)
+        ])
+        self._reverse = np.concatenate([
+            n + np.arange(n) + offsets, reverse_job, 2 * n + 2 * w + m + np.arange(m)
+        ])
+        self._merged_indices = np.empty(2 * self.arc_count, dtype=np.int32)
+        self._merged_indices[self._forward] = self.heads
+        self._merged_indices[self._reverse] = self.tails
+        self._merged_indptr = np.concatenate(
+            [[0], np.cumsum(row_lengths + np.bincount(self.heads, minlength=nodes))]
+        )
+
+    @classmethod
+    def from_instance(cls, instance: Instance) -> "JobIntervalNetwork":
+        """The network of every job and interval of an instance."""
+        return cls(
+            [job.arrival for job in instance.jobs],
+            [job.departure for job in instance.jobs],
+            instance.interval_count,
+        )
 
     @property
     def node_count(self) -> int:
@@ -147,87 +189,70 @@ class FlowNetwork:
 
     @property
     def arc_count(self) -> int:
-        return len(self.tails)
+        return self.job_count + len(self.arc_job) + self.interval_count
 
     def source_arcs(self) -> slice:
         return slice(0, self.job_count)
 
     def job_arcs(self) -> slice:
-        return slice(self.job_count, self.job_count + len(self.job_arc_job))
+        return slice(self.job_count, self.job_count + len(self.arc_job))
 
     def sink_arcs(self) -> slice:
-        first = self.job_count + len(self.job_arc_job)
+        first = self.job_count + len(self.arc_job)
         return slice(first, first + self.interval_count)
+
+    def job_nodes(self) -> slice:
+        return slice(1, 1 + self.job_count)
+
+    def interval_nodes(self) -> slice:
+        return slice(1 + self.job_count, self.sink)
+
+    def capacities(self, supply, rate, sink) -> np.ndarray:
+        """Arc capacities from per-job supplies and rates and per-interval sinks."""
+        return np.concatenate([supply, np.repeat(rate, self.widths), sink]).astype(np.int64)
+
+    def job_windows(self, arc_values: np.ndarray) -> list[np.ndarray]:
+        """Per-job views of an arc array's job arcs, one window each."""
+        return np.split(arc_values[self.job_arcs()], np.cumsum(self.widths)[:-1])
 
 
 def build_network(
-    instance: Instance, emissions: EmissionSeries, scaling: Scaling = Scaling()
-) -> FlowNetwork:
-    """Assemble the min-cost flow network for an instance.
+    instance: Instance, emissions: EmissionSeries
+) -> tuple[JobIntervalNetwork, np.ndarray, np.ndarray]:
+    """The min-cost flow problem of an instance: (network, capacities, costs).
 
-    The resulting network has ``2 + n + m`` nodes and
-    ``n + m + sum_j |window_j|`` arcs.  When the instance carries no
-    aggregate caps, every sink arc gets the summed rate bound of all
-    jobs, which no feasible flow can exceed.
+    Capacities and costs are scaled integers in arc order.  Source arcs
+    carry the job energies, job arcs the rate bounds, and sink arcs the
+    caps at the interval's emission factor per unit.  When the instance
+    carries no aggregate caps, every sink arc gets the summed rate bound
+    of all jobs, which no feasible flow can exceed.
     """
     m = instance.interval_count
     if len(emissions) != m:
         raise ValueError(f"emission series has {len(emissions)} entries, horizon needs {m}")
-    n = len(instance.jobs)
-    tails: list[int] = []
-    heads: list[int] = []
-    caps: list[int] = []
-    costs: list[int] = []
-
-    for k, job in enumerate(instance.jobs):
-        tails.append(0)
-        heads.append(1 + k)
-        caps.append(_scaled(job.energy_kwh, scaling.energy, f"energy of job {job.id!r}"))
-        costs.append(0)
-
-    job_arc_job: list[int] = []
-    job_arc_interval: list[int] = []
-    for k, job in enumerate(instance.jobs):
-        rate = _scaled(job.max_rate_kwh, scaling.energy, f"rate of job {job.id!r}")
-        for i in job.window:
-            tails.append(1 + k)
-            heads.append(1 + n + i)
-            caps.append(rate)
-            costs.append(0)
-            job_arc_job.append(k)
-            job_arc_interval.append(i)
-
+    jobs = instance.jobs
+    ids = [job.id for job in jobs]
+    energy = np.rint(
+        _scaled([job.energy_kwh for job in jobs], _ENERGY_SCALE, "energy of job", ids)
+    ).astype(np.int64)
+    rate = np.rint(
+        _scaled([job.max_rate_kwh for job in jobs], _ENERGY_SCALE, "rate of job", ids)
+    ).astype(np.int64)
     if instance.caps_kwh is None:
-        slack = sum(
-            _scaled(job.max_rate_kwh, scaling.energy, f"rate of job {job.id!r}")
-            for job in instance.jobs
-        )
-        sink_caps = [slack] * m
+        sink = np.full(m, rate.sum())
     else:
-        sink_caps = [
-            _scaled_floor(float(cap), scaling.energy, f"cap at interval {i}")
-            for i, cap in enumerate(instance.caps_kwh)
-        ]
-    for i in range(m):
-        tails.append(1 + n + i)
-        heads.append(1 + n + m)
-        caps.append(sink_caps[i])
-        costs.append(_scaled(float(emissions.kg_per_kwh[i]), scaling.cost, f"emission factor at {i}"))
-
-    return FlowNetwork(
-        job_ids=tuple(job.id for job in instance.jobs),
-        interval_count=m,
-        tails=np.asarray(tails, dtype=np.int32),
-        heads=np.asarray(heads, dtype=np.int32),
-        capacities=np.asarray(caps, dtype=np.int64),
-        costs=np.asarray(costs, dtype=np.int64),
-        job_arc_job=np.asarray(job_arc_job, dtype=np.int32),
-        job_arc_interval=np.asarray(job_arc_interval, dtype=np.int32),
-        scaling=scaling,
+        sink = _scaled_caps(instance, _ENERGY_SCALE)
+    network = JobIntervalNetwork.from_instance(instance)
+    costs = np.zeros(network.arc_count, dtype=np.int64)
+    costs[network.sink_arcs()] = np.rint(
+        _scaled(emissions.kg_per_kwh, _COST_SCALE, "emission factor at", range(m))
     )
+    return network, network.capacities(energy, rate, sink), costs
 
 
-def _min_cost_flow(network: FlowNetwork) -> np.ndarray:
+def _min_cost_flow(
+    network: JobIntervalNetwork, capacities: np.ndarray, costs: np.ndarray
+) -> np.ndarray:
     """Successive shortest augmenting paths with node potentials.
 
     All arc costs are non-negative, so Dijkstra on reduced costs works
@@ -243,18 +268,17 @@ def _min_cost_flow(network: FlowNetwork) -> np.ndarray:
     residual = [0] * (2 * arc_count)
     cost = [0] * (2 * arc_count)
     adjacency: list[list[int]] = [[] for _ in range(node_count)]
-    for a in range(arc_count):
-        tail = int(network.tails[a])
-        head = int(network.heads[a])
+    arcs = zip(network.tails.tolist(), network.heads.tolist(), capacities.tolist(), costs.tolist())
+    for a, (tail, head, capacity, arc_cost) in enumerate(arcs):
         to[2 * a] = head
         to[2 * a + 1] = tail
-        residual[2 * a] = int(network.capacities[a])
-        cost[2 * a] = int(network.costs[a])
-        cost[2 * a + 1] = -int(network.costs[a])
+        residual[2 * a] = capacity
+        cost[2 * a] = arc_cost
+        cost[2 * a + 1] = -arc_cost
         adjacency[tail].append(2 * a)
         adjacency[head].append(2 * a + 1)
 
-    supply = int(network.capacities[network.source_arcs()].sum())
+    supply = int(capacities[network.source_arcs()].sum())
     potential = [0] * node_count
     infinity = float("inf")
 
@@ -328,7 +352,9 @@ class OptimalityCertificate:
     witness_cycle: tuple[int, ...] = field(default=())
 
 
-def verify_optimality(network: FlowNetwork, flows: np.ndarray) -> OptimalityCertificate:
+def verify_optimality(
+    network: JobIntervalNetwork, capacities: np.ndarray, costs: np.ndarray, flows: np.ndarray
+) -> OptimalityCertificate:
     """Certify a flow as minimum-cost via Bellman-Ford on the residual graph.
 
     The flow must respect capacities and conservation (checked, since a
@@ -340,7 +366,7 @@ def verify_optimality(network: FlowNetwork, flows: np.ndarray) -> OptimalityCert
     flows = np.asarray(flows, dtype=np.int64)
     if flows.shape != (network.arc_count,):
         raise ValueError("flow vector does not match the arc count")
-    if np.any(flows < 0) or np.any(flows > network.capacities):
+    if np.any(flows < 0) or np.any(flows > capacities):
         raise ValueError("flow violates arc capacities")
     balance = np.zeros(network.node_count, dtype=np.int64)
     np.subtract.at(balance, network.tails, flows)
@@ -350,13 +376,13 @@ def verify_optimality(network: FlowNetwork, flows: np.ndarray) -> OptimalityCert
     if np.any(balance[interior] != 0):
         raise ValueError("flow violates conservation at a job or interval node")
 
-    edges: list[tuple[int, int, int]] = []
-    for a in range(network.arc_count):
-        tail, head, cost = int(network.tails[a]), int(network.heads[a]), int(network.costs[a])
-        if flows[a] < network.capacities[a]:
-            edges.append((tail, head, cost))
-        if flows[a] > 0:
-            edges.append((head, tail, -cost))
+    # Residual arcs, each forward arc before its reverse.
+    keep = np.stack([flows < capacities, flows > 0], axis=1).ravel()
+    edges = list(zip(
+        np.stack([network.tails, network.heads], axis=1).ravel()[keep].tolist(),
+        np.stack([network.heads, network.tails], axis=1).ravel()[keep].tolist(),
+        np.stack([costs, -costs], axis=1).ravel()[keep].tolist(),
+    ))
 
     node_count = network.node_count
     dist = [0] * node_count  # virtual zero-cost source into every node
@@ -408,38 +434,46 @@ def _greedy_cheapest_fill(instance: Instance, emissions: EmissionSeries) -> Sche
     return Schedule.build(instance, allocations)
 
 
-def _repair_delivery(instance: Instance, allocations: dict[str, np.ndarray],
-                     emissions: EmissionSeries) -> None:
-    """Push sub-watt-hour extraction residuals back into exact delivery.
+def _repair_delivery(
+    instance: Instance,
+    allocations: dict[str, np.ndarray],
+    key: np.ndarray,
+    load: np.ndarray,
+) -> None:
+    """Push sub-grid extraction residuals back into exact delivery.
 
-    Only inputs off the scaling grid need this; the adjustment per job is
-    below half a scaling unit and lands in the cheapest interval that has
-    rate (and cap) headroom.
+    Only inputs off the integer grid need this; the adjustment per job is
+    below half a grid unit.  A positive residual goes to the window
+    intervals with the lowest ``key`` that have rate (and cap) headroom, a
+    negative one comes out of the highest.  ``load`` is the per-interval
+    load under the charging; the allocations and every step are added to
+    it in place, and caps bound it.  The minimum-CO2 solver orders by
+    emission factor over a zero load; flattening passes its totals as both
+    key and load, so its order follows the steps.
     """
     caps = instance.caps_kwh
-    profile = np.zeros(instance.interval_count)
     for job in instance.jobs:
-        profile[job.arrival : job.departure] += allocations[job.id]
+        load[job.arrival : job.departure] += allocations[job.id]
     for job in instance.jobs:
         values = allocations[job.id]
         residual = job.energy_kwh - float(values.sum())
         if abs(residual) < 1e-12:
             continue
         window = np.arange(job.arrival, job.departure)
-        order = np.argsort(emissions.kg_per_kwh[window], kind="stable")
+        order = np.argsort(key[window], kind="stable")
         if residual < 0:
             order = order[::-1]
         for offset in order:
             if residual > 0:
                 room = job.max_rate_kwh - values[offset]
                 if caps is not None:
-                    room = min(room, float(caps[window[offset]] - profile[window[offset]]))
+                    room = min(room, float(caps[window[offset]] - load[window[offset]]))
                 step = min(residual, room)
             else:
                 step = max(residual, -values[offset])
             if step != 0.0:
                 values[offset] += step
-                profile[window[offset]] += step
+                load[window[offset]] += step
                 residual -= step
             if abs(residual) < 1e-12:
                 break
@@ -449,87 +483,64 @@ def _repair_delivery(instance: Instance, allocations: dict[str, np.ndarray],
             )
 
 
-def solve_min_co2(
-    instance: Instance, emissions: EmissionSeries, scaling: Scaling = Scaling()
-) -> Schedule:
+def solve_min_co2(instance: Instance, emissions: EmissionSeries) -> Schedule:
     """Schedule with the smallest total CO2 emission.
 
     Minimises ``sum_i s(i) * co2(i)`` subject to the window, rate, and
     cap constraints.  Instances without caps separate per job and are
-    filled greedily; capped instances run the network solver.  Raises
-    InfeasibleError when the caps cannot accommodate the demand.
+    filled greedily; capped instances run the network solver, whose flow
+    must pass the optimality certificate.  Raises InfeasibleError when
+    the caps cannot accommodate the demand, and SolverError when the
+    certificate fails.
     """
     if len(emissions) != instance.interval_count:
         raise ValueError("emission series does not cover the horizon")
     if instance.caps_kwh is None:
         return _greedy_cheapest_fill(instance, emissions)
 
-    network = build_network(instance, emissions, scaling)
-    flows = _min_cost_flow(network)
-    allocations: dict[str, np.ndarray] = {
-        job.id: np.zeros(job.departure - job.arrival) for job in instance.jobs
-    }
-    job_arcs = network.job_arcs()
-    arc_flows = flows[job_arcs]
-    for pos in range(len(network.job_arc_job)):
-        job = instance.jobs[int(network.job_arc_job[pos])]
-        interval = int(network.job_arc_interval[pos])
-        allocations[job.id][interval - job.arrival] = arc_flows[pos] / scaling.energy
-    _repair_delivery(instance, allocations, emissions)
+    network, capacities, costs = build_network(instance, emissions)
+    flows = _min_cost_flow(network, capacities, costs)
+    certificate = verify_optimality(network, capacities, costs, flows)
+    if not certificate.optimal:
+        raise SolverError(
+            f"min-cost flow is not optimal: residual cycle {certificate.witness_cycle} "
+            "has negative cost"
+        )
+    windows = network.job_windows(flows / _ENERGY_SCALE)
+    allocations = {job.id: values for job, values in zip(instance.jobs, windows)}
+    _repair_delivery(instance, allocations, emissions.kg_per_kwh, np.zeros(instance.interval_count))
     return Schedule.build(instance, allocations)
 
 
-def max_flow(
-    node_count: int,
-    tails: np.ndarray,
-    heads: np.ndarray,
-    capacities: np.ndarray,
-    source: int,
-    sink: int,
-) -> tuple[int, np.ndarray]:
-    """Integer max flow on an arc list; returns (value, flow per arc).
+def max_flow(network: JobIntervalNetwork, capacities: np.ndarray) -> tuple[int, np.ndarray]:
+    """Integer max flow from source to sink; returns (value, flow per arc).
 
-    Thin wrapper over the sparse max-flow kernel.  Arc endpoints must be
-    unique pairs and capacities must fit in 32 bits (the caller picks the
-    scaling accordingly).
+    Capacities are given in arc order and must fit in 32 bits (the caller
+    picks the scaling accordingly).  A call only rewrites the data of the
+    network's matrix and reads the arc flows back by precomputed index.
     """
     capacities = np.asarray(capacities)
     if capacities.size and int(capacities.max()) > _INT32_LIMIT:
         raise ScalingOverflowError("a scaled capacity exceeds the 32-bit kernel limit")
-    graph = csr_matrix(
-        (capacities.astype(np.int32), (tails, heads)), shape=(node_count, node_count)
-    )
-    result = maximum_flow(graph, source, sink)
-    # The kernel reports net antisymmetric flow; an antiparallel partner
-    # carrying the flow shows up negative here and means "nothing".
-    flows = np.asarray(result.flow[tails, heads]).ravel().astype(np.int64)
-    np.maximum(flows, 0, out=flows)
-    return int(result.flow_value), flows
+    network._graph.data[:] = capacities
+    result = maximum_flow(network._graph, network.source, network.sink)
+    return int(result.flow_value), result.flow.data[network._forward].astype(np.int64)
 
 
 def residual_reachable(
-    node_count: int,
-    tails: np.ndarray,
-    heads: np.ndarray,
-    capacities: np.ndarray,
-    flows: np.ndarray,
-    start: int,
+    network: JobIntervalNetwork, capacities: np.ndarray, flows: np.ndarray
 ) -> np.ndarray:
-    """Boolean mask of nodes reachable from ``start`` in the residual graph."""
-    forward = flows < capacities
-    backward = flows > 0
-    res_tails = np.concatenate([tails[forward], heads[backward]])
-    res_heads = np.concatenate([heads[forward], tails[backward]])
-    if len(res_tails) == 0:
-        mask = np.zeros(node_count, dtype=bool)
-        mask[start] = True
-        return mask
+    """Boolean mask of nodes reachable from the source in the residual graph."""
+    keep = np.empty(2 * network.arc_count, dtype=bool)
+    keep[network._forward] = flows < capacities
+    keep[network._reverse] = flows > 0
+    kept = np.concatenate([[0], np.cumsum(keep)])
     graph = csr_matrix(
-        (np.ones(len(res_tails), dtype=np.int8), (res_tails, res_heads)),
-        shape=(node_count, node_count),
+        (np.ones(int(kept[-1])), network._merged_indices[keep], kept[network._merged_indptr]),
+        shape=(network.node_count, network.node_count),
     )
-    visited = breadth_first_order(graph, start, directed=True, return_predecessors=False)
-    mask = np.zeros(node_count, dtype=bool)
+    visited = breadth_first_order(graph, network.source, directed=True, return_predecessors=False)
+    mask = np.zeros(network.node_count, dtype=bool)
     mask[visited] = True
     return mask
 
@@ -542,47 +553,24 @@ def feasibility_cut(instance: Instance) -> FeasibilityReport:
     source in the residual graph form a violating set: their combined
     demand exceeds the capacity reachable from their windows.
     """
-    scale = 1000
+    energies = np.array([job.energy_kwh for job in instance.jobs], dtype=float)
+    rates = np.array([job.max_rate_kwh for job in instance.jobs], dtype=float)
     largest = max(
-        [float(np.max(instance.caps_kwh))] +
-        [max(job.energy_kwh, job.max_rate_kwh) for job in instance.jobs] or [0.0]
+        float(np.max(instance.caps_kwh)), energies.max(initial=0.0), rates.max(initial=0.0)
     )
+    scale = _ENERGY_SCALE
     while scale > 1 and largest * scale > _INT32_LIMIT:
         scale //= 10
     if largest * scale > _INT32_LIMIT:
         raise ScalingOverflowError("instance magnitudes exceed the feasibility kernel range")
 
-    n = len(instance.jobs)
-    m = instance.interval_count
-    tails: list[int] = []
-    heads: list[int] = []
-    caps: list[int] = []
-    supply = 0
-    for k, job in enumerate(instance.jobs):
-        e = int(round(job.energy_kwh * scale))
-        supply += e
-        tails.append(0)
-        heads.append(1 + k)
-        caps.append(e)
-        rate = int(round(job.max_rate_kwh * scale))
-        for i in job.window:
-            tails.append(1 + k)
-            heads.append(1 + n + i)
-            caps.append(rate)
-    for i in range(m):
-        tails.append(1 + n + i)
-        heads.append(1 + n + m)
-        # Same snap-or-floor rounding as the cost network, so the two agree.
-        caps.append(_scaled_floor(float(instance.caps_kwh[i]), scale, f"cap at interval {i}"))
-
-    tails_arr = np.asarray(tails, dtype=np.int32)
-    heads_arr = np.asarray(heads, dtype=np.int32)
-    caps_arr = np.asarray(caps, dtype=np.int64)
-    value, flows = max_flow(2 + n + m, tails_arr, heads_arr, caps_arr, 0, 1 + n + m)
-    if value >= supply:
+    network = JobIntervalNetwork.from_instance(instance)
+    supply = np.rint(energies * scale).astype(np.int64)
+    # Same snap-or-floor cap rounding as the cost network, so the two agree.
+    capacities = network.capacities(supply, np.rint(rates * scale), _scaled_caps(instance, scale))
+    value, flows = max_flow(network, capacities)
+    if value >= supply.sum():
         return FeasibilityReport(feasible=True)
-    reachable = residual_reachable(2 + n + m, tails_arr, heads_arr, caps_arr, flows, 0)
-    violating = frozenset(
-        job.id for k, job in enumerate(instance.jobs) if reachable[1 + k]
-    )
+    reachable = residual_reachable(network, capacities, flows)[network.job_nodes()]
+    violating = frozenset(job.id for job, cut in zip(instance.jobs, reachable) if cut)
     return FeasibilityReport(feasible=False, violating_jobs=violating)

@@ -172,15 +172,31 @@ def match(
         adjacency[b].append(l)
     line_owner = [-1] * len(lines)
 
-    def augment(b: int, seen: list[bool]) -> bool:
-        for l in adjacency[b]:
-            if seen[l]:
+    def augment(root: int, seen: list[bool]) -> bool:
+        # Depth-first search for an augmenting path from `root`, trying
+        # each bus's lines in edge order.  The path is kept on an explicit
+        # stack, so chains as long as the fleet cannot exhaust recursion.
+        untried = iter(adjacency[root])  # lines left to try for the deepest bus
+        path: list[tuple] = []  # (untried lines, line taken) per bus above it
+        while True:
+            for l in untried:
+                if not seen[l]:
+                    break
+            else:
+                if not path:
+                    return False
+                untried, _ = path.pop()
                 continue
             seen[l] = True
-            if line_owner[l] < 0 or augment(line_owner[l], seen):
-                line_owner[l] = b
+            owner = line_owner[l]
+            if owner < 0:
+                # Each line on the path passes to the bus before it.
+                bus = root
+                for line in [line for _, line in path] + [l]:
+                    bus, line_owner[line] = line_owner[line], bus
                 return True
-        return False
+            path.append((untried, l))
+            untried = iter(adjacency[owner])
 
     for b in range(len(buses)):
         augment(b, [False] * len(lines))

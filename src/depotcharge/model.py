@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -167,12 +167,6 @@ class Instance:
     def interval_count(self) -> int:
         return self.horizon.interval_count
 
-    def job(self, job_id: str) -> Job:
-        for j in self.jobs:
-            if j.id == job_id:
-                return j
-        raise KeyError(job_id)
-
 
 @dataclass(frozen=True)
 class BaseloadSeries:
@@ -278,29 +272,6 @@ class Schedule:
 
     def energy_for(self, job_id: str) -> float:
         return float(self.window_energy[job_id].sum())
-
-    def items(self) -> Iterator[tuple[tuple[int, str], float]]:
-        """Iterate sparse entries as ``((interval, job_id), kwh)``."""
-        for job_id, values in self.window_energy.items():
-            a = self.window_starts[job_id]
-            for k, value in enumerate(values):
-                yield (a + k, job_id), float(value)
-
-
-def availability(instance: Instance) -> tuple[tuple[frozenset[str], ...], dict[str, range]]:
-    """Both directions of the job/interval availability relation.
-
-    Returns ``(jobs_at, window_of)`` where ``jobs_at[i]`` is the set of
-    job ids available in interval ``i`` and ``window_of[job_id]`` is that
-    job's interval range.  The two views are transposes of each other.
-    """
-    per_interval: list[set[str]] = [set() for _ in range(instance.interval_count)]
-    window_of: dict[str, range] = {}
-    for job in instance.jobs:
-        window_of[job.id] = job.window
-        for i in job.window:
-            per_interval[i].add(job.id)
-    return tuple(frozenset(s) for s in per_interval), window_of
 
 
 def aggregate(schedule: Schedule) -> np.ndarray:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SolverError
 from .flatten import FlattenProblem, solve_flatten
 from .flow import EmissionSeries, solve_min_co2
 from .model import BaseloadSeries, Instance, Schedule
@@ -116,9 +117,10 @@ def solve_weighted(
     totals = schedule.aggregate_kwh + combined.kwh
     constant = float(np.dot(beta.kwh, beta.kwh + 2.0 * base))
     expanded = weights.flatness_weight * (float(np.dot(totals, totals)) - constant)
-    assert abs(direct - expanded) <= 1e-8 * max(1.0, abs(direct)), (
-        "completing-the-square bookkeeping drifted"
-    )
+    if abs(direct - expanded) > 1e-8 * max(1.0, abs(direct)):
+        raise SolverError(
+            f"completing-the-square bookkeeping drifted: {direct} against {expanded}"
+        )
     return schedule
 
 

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_flow
 
 from depotcharge import flow
-from depotcharge.errors import InfeasibleError, ScalingOverflowError
+from depotcharge.errors import InfeasibleError, ScalingOverflowError, SolverError
 from depotcharge.model import Instance, Job, validate_schedule
 from depotcharge.oracle import lp_min_co2
 
@@ -25,13 +27,21 @@ class TestNetworkShape:
         for _ in range(20):
             instance = random_instance(rng, with_caps=True)
             emissions = emission_series(rng, instance.interval_count)
-            network = flow.build_network(instance, emissions)
+            network, capacities, costs = flow.build_network(instance, emissions)
             n = len(instance.jobs)
             m = instance.interval_count
             window_total = sum(job.departure - job.arrival for job in instance.jobs)
             assert network.node_count == 2 + n + m
             assert network.arc_count == n + m + window_total
             assert network.sink == network.node_count - 1
+            assert capacities.shape == costs.shape == (network.arc_count,)
+            # Arc by arc, as a loop over the windows lays them out.
+            tails = [0] * n + [1 + k for k, job in enumerate(instance.jobs) for _ in job.window]
+            heads = [1 + k for k in range(n)] + [
+                1 + n + i for job in instance.jobs for i in job.window
+            ]
+            assert list(network.tails) == tails + [1 + n + i for i in range(m)]
+            assert list(network.heads) == heads + [network.sink] * m
 
     def test_arc_blocks(self):
         horizon = make_horizon(3)
@@ -40,32 +50,35 @@ class TestNetworkShape:
             Job(id="b", arrival=1, departure=3, energy_kwh=1.0, max_rate_kwh=1.0),
         )
         emissions = flow.EmissionSeries(np.array([0.3, 0.1, 0.2]))
-        network = flow.build_network(Instance(horizon, jobs), emissions)
+        network, capacities, costs = flow.build_network(Instance(horizon, jobs), emissions)
 
         source = network.source_arcs()
         assert list(network.tails[source]) == [0, 0]
         assert list(network.heads[source]) == [1, 2]
-        assert list(network.capacities[source]) == [2000, 1000]
+        assert list(capacities[source]) == [2000, 1000]
 
         job_arcs = network.job_arcs()
         assert list(network.tails[job_arcs]) == [1, 1, 2, 2]
         assert list(network.heads[job_arcs]) == [3, 4, 4, 5]
-        assert list(network.capacities[job_arcs]) == [1500, 1500, 1000, 1000]
+        assert list(network.arc_job) == [0, 0, 1, 1]
+        assert list(network.arc_interval) == [0, 1, 1, 2]
+        assert list(capacities[job_arcs]) == [1500, 1500, 1000, 1000]
 
         sink = network.sink_arcs()
         assert list(network.tails[sink]) == [3, 4, 5]
         assert list(network.heads[sink]) == [6, 6, 6]
         # No caps: sink capacity is the summed rate bound, never binding.
-        assert list(network.capacities[sink]) == [2500, 2500, 2500]
-        assert list(network.costs[sink]) == [300000, 100000, 200000]
+        assert list(capacities[sink]) == [2500, 2500, 2500]
+        assert list(costs[sink]) == [300000, 100000, 200000]
+        assert not costs[: sink.start].any()
 
     def test_capped_sink_arcs(self):
         horizon = make_horizon(2)
         jobs = (Job(id="a", arrival=0, departure=2, energy_kwh=6.0, max_rate_kwh=6.0),)
         instance = Instance(horizon, jobs, caps_kwh=np.array([4.0, 6.0]))
         emissions = flow.EmissionSeries(np.array([0.1, 0.5]))
-        network = flow.build_network(instance, emissions)
-        assert list(network.capacities[network.sink_arcs()]) == [4000, 6000]
+        network, capacities, _ = flow.build_network(instance, emissions)
+        assert list(capacities[network.sink_arcs()]) == [4000, 6000]
 
     def test_emission_length_mismatch(self):
         horizon = make_horizon(3)
@@ -178,6 +191,19 @@ class TestSolveMinCo2:
         second = flow.solve_min_co2(instance, emissions)
         assert first.aggregate_kwh.tobytes() == second.aggregate_kwh.tobytes()
 
+    def test_suboptimal_flow_fails_the_certificate(self, monkeypatch):
+        horizon = make_horizon(2)
+        jobs = (Job(id="a", arrival=0, departure=2, energy_kwh=2.0, max_rate_kwh=2.0),)
+        instance = Instance(horizon, jobs, caps_kwh=np.array([3.0, 3.0]))
+        emissions = flow.EmissionSeries(np.array([0.1, 0.5]))
+        # Everything through the dear interval: feasible, but beatable.
+        monkeypatch.setattr(
+            flow, "_min_cost_flow",
+            lambda network, capacities, costs: np.array([2000, 0, 2000, 0, 2000]),
+        )
+        with pytest.raises(SolverError):
+            flow.solve_min_co2(instance, emissions)
+
     def test_infeasible_caps_raise(self):
         horizon = make_horizon(1)
         jobs = (
@@ -202,19 +228,19 @@ class TestVerifyOptimality:
         for _ in range(20):
             instance = random_instance(rng, with_caps=True)
             emissions = emission_series(rng, instance.interval_count)
-            network = flow.build_network(instance, emissions)
-            flows = flow._min_cost_flow(network)
-            certificate = flow.verify_optimality(network, flows)
+            network, capacities, costs = flow.build_network(instance, emissions)
+            flows = flow._min_cost_flow(network, capacities, costs)
+            certificate = flow.verify_optimality(network, capacities, costs, flows)
             assert certificate.optimal
             assert certificate.witness_cycle == ()
 
     def test_suboptimal_flow_yields_negative_witness_cycle(self):
-        network = self._tiny_network()
+        network, capacities, costs = self._tiny_network()
         # Arc order: source->job, job->i0, job->i1, i0->sink, i1->sink.
         # Routing everything through the dear interval is feasible but
         # beatable, so the certificate must expose a cycle.
         flows = np.array([2000, 0, 2000, 0, 2000], dtype=np.int64)
-        certificate = flow.verify_optimality(network, flows)
+        certificate = flow.verify_optimality(network, capacities, costs, flows)
         assert not certificate.optimal
         cycle = certificate.witness_cycle
         assert len(cycle) >= 2
@@ -222,10 +248,10 @@ class TestVerifyOptimality:
         residual_cost = {}
         for a in range(network.arc_count):
             tail, head = int(network.tails[a]), int(network.heads[a])
-            if flows[a] < network.capacities[a]:
-                residual_cost[(tail, head)] = int(network.costs[a])
+            if flows[a] < capacities[a]:
+                residual_cost[(tail, head)] = int(costs[a])
             if flows[a] > 0:
-                residual_cost[(head, tail)] = -int(network.costs[a])
+                residual_cost[(head, tail)] = -int(costs[a])
         total = 0
         for pos, node in enumerate(cycle):
             succ = cycle[(pos + 1) % len(cycle)]
@@ -234,16 +260,16 @@ class TestVerifyOptimality:
         assert total < 0
 
     def test_rejects_flow_violating_conservation(self):
-        network = self._tiny_network()
+        network, capacities, costs = self._tiny_network()
         flows = np.array([2000, 1000, 0, 1000, 0], dtype=np.int64)
         with pytest.raises(ValueError):
-            flow.verify_optimality(network, flows)
+            flow.verify_optimality(network, capacities, costs, flows)
 
     def test_rejects_flow_violating_capacity(self):
-        network = self._tiny_network()
+        network, capacities, costs = self._tiny_network()
         flows = np.array([9000, 9000, 0, 9000, 0], dtype=np.int64)
         with pytest.raises(ValueError):
-            flow.verify_optimality(network, flows)
+            flow.verify_optimality(network, capacities, costs, flows)
 
 
 class TestFeasibilityCut:
@@ -283,30 +309,60 @@ class TestFeasibilityCut:
 
 class TestMaxFlowKernel:
     def test_diamond_graph(self):
-        tails = np.array([0, 0, 1, 2, 1, 2])
-        heads = np.array([1, 2, 3, 3, 2, 1])
-        caps = np.array([10, 5, 7, 9, 2, 0])
-        # Node 1 forwards at most 7 + 2 units, so the value is 7 + 7.
-        value, flows = flow.max_flow(4, tails, heads, caps, 0, 3)
-        assert value == 14
-        balance = np.zeros(4, dtype=np.int64)
-        np.subtract.at(balance, tails, flows)
-        np.add.at(balance, heads, flows)
-        assert balance[1] == 0 and balance[2] == 0
-        assert balance[0] == -14 and balance[3] == 14
+        # Two jobs share interval 1: source -> {a, b} -> 1 -> sink is a
+        # diamond, with a side branch from a into interval 0.
+        network = flow.JobIntervalNetwork([0, 1], [2, 2], 2)
+        caps = network.capacities([10, 5], [7, 9], [4, 6])
+        value, flows = flow.max_flow(network, caps)
+        # Interval 1 drains at most 6 and interval 0 at most 4.
+        assert value == 10
+        assert np.all(flows >= 0) and np.all(flows <= caps)
+        balance = np.zeros(network.node_count, dtype=np.int64)
+        np.subtract.at(balance, network.tails, flows)
+        np.add.at(balance, network.heads, flows)
+        assert not balance[1:-1].any()
+        assert balance[0] == -10 and balance[-1] == 10
+
+    def test_capacities_change_between_calls(self):
+        network = flow.JobIntervalNetwork([0, 1], [2, 2], 2)
+        for sink_caps, expected in (([4, 6], 10), ([0, 0], 0), ([9, 9], 15), ([1, 2], 3)):
+            value, flows = flow.max_flow(network, network.capacities([10, 5], [7, 9], sink_caps))
+            assert value == expected
+            assert flows[network.sink_arcs()].sum() == expected
+
+    def test_flow_index_matches_the_kernel_layout(self):
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            m = int(rng.integers(1, 9))
+            starts = rng.integers(0, m, size=int(rng.integers(0, 6)))
+            stops = np.minimum(starts + rng.integers(1, 5, size=len(starts)), m)
+            network = flow.JobIntervalNetwork(starts, stops, m)
+            caps = rng.integers(0, 5, size=network.arc_count)
+            value, flows = flow.max_flow(network, caps)
+            reference = maximum_flow(
+                csr_matrix(
+                    (caps.astype(np.int32), (network.tails, network.heads)),
+                    shape=(network.node_count, network.node_count),
+                ),
+                network.source, network.sink,
+            )
+            assert value == reference.flow_value
+            expected = np.asarray(reference.flow[network.tails, network.heads]).ravel()
+            np.testing.assert_array_equal(flows, expected)
 
     def test_residual_reachability_stops_at_cut(self):
-        tails = np.array([0, 1])
-        heads = np.array([1, 2])
-        caps = np.array([5, 3])
-        value, flows = flow.max_flow(3, tails, heads, caps, 0, 2)
+        # One job, two intervals; the sink arc of interval 1 is closed.
+        network = flow.JobIntervalNetwork([0], [2], 2)
+        caps = network.capacities([5], [3], [3, 0])
+        value, flows = flow.max_flow(network, caps)
         assert value == 3
-        mask = flow.residual_reachable(3, tails, heads, caps, flows, 0)
-        assert list(mask) == [True, True, False]
+        mask = flow.residual_reachable(network, caps, flows)
+        # The job is unsaturated.  Its arc into interval 0 is full, so only
+        # interval 1 is reachable, and interval 1 cannot drain to the sink.
+        assert list(mask) == [True, True, False, True, False]
 
     def test_rejects_capacities_beyond_kernel_range(self):
-        tails = np.array([0])
-        heads = np.array([1])
-        caps = np.array([2**40], dtype=np.int64)
+        network = flow.JobIntervalNetwork([0], [1], 1)
+        caps = np.array([2**40, 1, 1], dtype=np.int64)
         with pytest.raises(ScalingOverflowError):
-            flow.max_flow(2, tails, heads, caps, 0, 1)
+            flow.max_flow(network, caps)

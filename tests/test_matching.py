@@ -4,9 +4,10 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_flow
 
 from depotcharge.errors import WindowInfeasibleError
-from depotcharge.flow import max_flow
 from depotcharge.matching import (
     ArrivingBus,
     BusType,
@@ -142,11 +143,11 @@ def matching_by_flow(nb, nl, edges):
     source, sink = nb + nl, nb + nl + 1
     tails = [source] * nb + [b for b, _ in edges] + [nb + l for l in range(nl)]
     heads = list(range(nb)) + [nb + l for _, l in edges] + [sink] * nl
-    caps = np.ones(len(tails), dtype=np.int64)
-    value, _ = max_flow(
-        nb + nl + 2, np.array(tails), np.array(heads), caps, source, sink
+    graph = csr_matrix(
+        (np.ones(len(tails), dtype=np.int32), (tails, heads)),
+        shape=(nb + nl + 2, nb + nl + 2),
     )
-    return value
+    return maximum_flow(graph, source, sink).flow_value
 
 
 def run_match(nb, nl, edges):
@@ -168,6 +169,19 @@ class TestMatch:
             nb, nl, edges = random_bipartite(rng)
             assignment = run_match(nb, nl, edges)
             assert assignment.cardinality == matching_by_flow(nb, nl, edges)
+
+    def test_long_augmenting_chain(self):
+        # Bus i can take line i - 1 or line i; every new bus first tries to
+        # push the previous one down the chain, a path as long as the fleet.
+        nb = 1500
+        edges = ((0, 0),) + tuple(
+            edge for i in range(1, nb) for edge in ((i, i - 1), (i, i))
+        )
+        assignment = run_match(nb, nb, edges)
+        assert assignment.cardinality == nb
+        assert all(
+            bus.bus_id[1:] == line.line_id[1:] for bus, line in assignment.matched
+        )
 
     def test_removing_an_edge_never_helps(self):
         rng = np.random.default_rng(42)

@@ -12,7 +12,6 @@ from depotcharge.model import (
     Job,
     Schedule,
     aggregate,
-    availability,
     check_feasible,
     validate_schedule,
 )
@@ -89,14 +88,6 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             Instance(horizon, jobs, caps_kwh=np.array([5.0, 5.0]))
 
-    def test_job_lookup(self):
-        horizon = make_horizon(4)
-        jobs = (Job(id="a", arrival=0, departure=2, energy_kwh=1.0, max_rate_kwh=1.0),)
-        instance = Instance(horizon, jobs)
-        assert instance.job("a") is jobs[0]
-        with pytest.raises(KeyError):
-            instance.job("missing")
-
 
 class TestBaseloadSeries:
     def test_from_kw_converts_by_interval_length(self):
@@ -143,15 +134,6 @@ class TestSchedule:
             recomputed = aggregate(schedule)
             assert recomputed.tobytes() == schedule.aggregate_kwh.tobytes()
 
-    def test_items_roundtrip(self):
-        horizon = make_horizon(3)
-        jobs = (Job(id="a", arrival=1, departure=3, energy_kwh=2.0, max_rate_kwh=1.5),)
-        instance = Instance(horizon, jobs)
-        schedule = Schedule.build(instance, {"a": np.array([1.5, 0.5])})
-        entries = dict(schedule.items())
-        assert entries[(1, "a")] == 1.5
-        assert entries[(2, "a")] == 0.5
-
 
 class TestValidateSchedule:
     def _simple(self):
@@ -190,18 +172,6 @@ class TestValidateSchedule:
         schedule = Schedule.build(instance, {"a": np.array([1.5, 0.5])})
         with pytest.raises(ValueError):
             validate_schedule(instance, schedule)
-
-
-class TestAvailability:
-    def test_sets_by_interval(self):
-        horizon = make_horizon(3)
-        jobs = (
-            Job(id="a", arrival=0, departure=2, energy_kwh=1.0, max_rate_kwh=1.0),
-            Job(id="b", arrival=1, departure=3, energy_kwh=1.0, max_rate_kwh=1.0),
-        )
-        present, windows = availability(Instance(horizon, jobs))
-        assert present == (frozenset({"a"}), frozenset({"a", "b"}), frozenset({"b"}))
-        assert windows == {"a": range(0, 2), "b": range(1, 3)}
 
 
 class TestCheckFeasible:
