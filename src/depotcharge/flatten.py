@@ -41,6 +41,9 @@ from .model import BaseloadSeries, Instance, Schedule
 #: Largest scaled magnitude handed to the 32-bit max-flow kernel.
 _KERNEL_BUDGET = 2_000_000_000
 
+#: Largest scaled sum of levels over the horizon, well inside int64.
+_LEVEL_SUM_BUDGET = 2**62
+
 
 @dataclass(frozen=True)
 class FlattenProblem:
@@ -107,14 +110,17 @@ def solve_flatten(problem: FlattenProblem) -> Schedule:
 def _pick_scale(
     instance: Instance, base_f: np.ndarray, rates: np.ndarray, energies: np.ndarray
 ) -> int:
-    # Probe levels never exceed the worst concurrent rate pile-up plus
-    # baseload, and source arcs never exceed the largest job energy.
-    concurrent = base_f.copy()
+    # Sink capacities never exceed the worst concurrent rate pile-up (each
+    # probe clips them to it), and source arcs never exceed the largest job
+    # energy.  The baseload only shifts the levels, which never reach the
+    # kernel; the level search sums them over the horizon in int64.
+    concurrent = np.zeros(instance.interval_count)
     for job, rate in zip(instance.jobs, rates):
         concurrent[job.arrival : job.departure] += rate
     top = max(float(concurrent.max()), float(energies.max()), 1.0)
+    bed = float(np.abs(base_f).sum() + concurrent.sum())
     scale = 1
-    while top * (scale * 10) <= _KERNEL_BUDGET:
+    while top * (scale * 10) <= _KERNEL_BUDGET and bed * (scale * 10) <= _LEVEL_SUM_BUDGET:
         scale *= 10
     return scale
 
@@ -219,9 +225,12 @@ def _peel_targets(
             e_int[jobs_idx], l_int[jobs_idx], np.zeros(len(ints_idx), dtype=np.int64)
         )
         sink_arcs = network.sink_arcs()
+        # A sink arc clipped to the rates into its interval saturates only
+        # when its job arcs do, so flow values and cuts are unchanged.
+        reach = network.reach(capacities)
 
         def probe(level: int) -> tuple[int, np.ndarray]:
-            capacities[sink_arcs] = np.maximum(level - basins, 0)
+            capacities[sink_arcs] = np.minimum(np.maximum(level - basins, 0), reach)
             return max_flow(network, capacities)
 
         def cut(flows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

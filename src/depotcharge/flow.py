@@ -12,10 +12,11 @@ oracle, and :func:`residual_reachable` reads the binding cut off a flow.
 Minimum-emission scheduling is a minimum-cost flow on that network, with
 each sink arc capped by the aggregate cap (or an amount that never
 binds, when the instance has no caps) and paying the interval's emission
-factor per unit.  Capped instances run the network solver, and every
-such solve is checked by the optimality certificate
-(:func:`verify_optimality`); without caps the problem separates per job
-and is filled greedily.
+factor per unit.  The loads the intervals can take form a polymatroid
+whose rank is a max flow, so capped instances are solved by Edmonds'
+greedy over max-flow ranks (m + 1 max flows), and every such solve is
+checked by the optimality certificate (:func:`verify_optimality`);
+without caps the problem separates per job and is filled greedily.
 
 Quantities are scaled to integers before solving: energies at watt-hour
 resolution, emission factors at 1e-6 kg/kWh resolution.  The solver is
@@ -27,7 +28,6 @@ tolerance.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,6 +211,12 @@ class JobIntervalNetwork:
         """Arc capacities from per-job supplies and rates and per-interval sinks."""
         return np.concatenate([supply, np.repeat(rate, self.widths), sink]).astype(np.int64)
 
+    def reach(self, capacities: np.ndarray) -> np.ndarray:
+        """Per-interval sum of the job-arc capacities into each interval."""
+        return np.bincount(
+            self.arc_interval, weights=capacities[self.job_arcs()], minlength=self.interval_count
+        ).astype(np.int64)
+
     def job_windows(self, arc_values: np.ndarray) -> list[np.ndarray]:
         """Per-job views of an arc array's job arcs, one window each."""
         return np.split(arc_values[self.job_arcs()], np.cumsum(self.widths)[:-1])
@@ -250,90 +256,35 @@ def build_network(
     return network, network.capacities(energy, rate, sink), costs
 
 
-def _min_cost_flow(
+def _polymatroid_greedy(
     network: JobIntervalNetwork, capacities: np.ndarray, costs: np.ndarray
 ) -> np.ndarray:
-    """Successive shortest augmenting paths with node potentials.
+    """Minimum-cost flow by Edmonds' greedy over max-flow ranks.
 
-    All arc costs are non-negative, so Dijkstra on reduced costs works
-    from zero potentials.  Returns the integer flow per network arc;
-    raises InfeasibleError when the supplies cannot all be routed.
+    Costs sit on the sink arcs only.  The interval loads a flow can
+    deliver form a polymatroid whose rank r(S) is the max flow with only
+    the sink arcs of S open, so a linear cost is minimised by opening the
+    sink arcs in stable order of cost and giving interval i exactly
+    y(i) = r(S_i) - r(S_{i-1}), its rank increment.  One more max flow
+    with sink capacities y extracts the flow; that is m + 1 max flows.
+    Returns the integer flow per network arc; raises InfeasibleError when
+    the supplies cannot all be routed.
     """
-    node_count = network.node_count
-    source, sink = network.source, network.sink
-    arc_count = network.arc_count
-
-    # Paired representation: arc 2a is forward, 2a + 1 its reverse.
-    to = [0] * (2 * arc_count)
-    residual = [0] * (2 * arc_count)
-    cost = [0] * (2 * arc_count)
-    adjacency: list[list[int]] = [[] for _ in range(node_count)]
-    arcs = zip(network.tails.tolist(), network.heads.tolist(), capacities.tolist(), costs.tolist())
-    for a, (tail, head, capacity, arc_cost) in enumerate(arcs):
-        to[2 * a] = head
-        to[2 * a + 1] = tail
-        residual[2 * a] = capacity
-        cost[2 * a] = arc_cost
-        cost[2 * a + 1] = -arc_cost
-        adjacency[tail].append(2 * a)
-        adjacency[head].append(2 * a + 1)
-
-    supply = int(capacities[network.source_arcs()].sum())
-    potential = [0] * node_count
-    infinity = float("inf")
-
-    pushed = 0
-    while pushed < supply:
-        dist: list[float] = [infinity] * node_count
-        prev_arc = [-1] * node_count
-        dist[source] = 0
-        heap: list[tuple[int, int]] = [(0, source)]
-        sink_dist: float = infinity
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            if u == sink:
-                sink_dist = d
-                break
-            pot_u = potential[u]
-            for arc in adjacency[u]:
-                if residual[arc] <= 0:
-                    continue
-                v = to[arc]
-                nd = d + cost[arc] + pot_u - potential[v]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    prev_arc[v] = arc
-                    heapq.heappush(heap, (nd, v))
-        if sink_dist is infinity:
-            raise InfeasibleError(
-                "aggregate caps leave no room for the remaining charging energy"
-            )
-        for v in range(node_count):
-            if dist[v] < sink_dist:
-                potential[v] += int(dist[v])
-            else:
-                potential[v] += int(sink_dist)
-
-        bottleneck = supply - pushed
-        node = sink
-        while node != source:
-            arc = prev_arc[node]
-            if residual[arc] < bottleneck:
-                bottleneck = residual[arc]
-            node = to[arc ^ 1]
-        node = sink
-        while node != source:
-            arc = prev_arc[node]
-            residual[arc] -= bottleneck
-            residual[arc ^ 1] += bottleneck
-            node = to[arc ^ 1]
-        pushed += bottleneck
-
-    flows = np.empty(arc_count, dtype=np.int64)
-    for a in range(arc_count):
-        flows[a] = residual[2 * a + 1]
+    sink_arcs = network.sink_arcs()
+    # A cap beyond the summed rates into its interval never binds;
+    # clipping it keeps huge caps inside the kernel range.
+    caps = np.minimum(capacities[sink_arcs], network.reach(capacities))
+    probe = capacities.copy()
+    probe[sink_arcs] = 0
+    ranks = np.empty(network.interval_count, dtype=np.int64)
+    order = np.argsort(costs[sink_arcs], kind="stable")
+    for i in order:
+        probe[sink_arcs.start + i] = caps[i]
+        ranks[i], _ = max_flow(network, probe)
+    probe[sink_arcs.start + order] = np.diff(ranks[order], prepend=0)
+    value, flows = max_flow(network, probe)
+    if value < int(capacities[network.source_arcs()].sum()):
+        raise InfeasibleError("aggregate caps leave no room for the remaining charging energy")
     return flows
 
 
@@ -499,7 +450,7 @@ def solve_min_co2(instance: Instance, emissions: EmissionSeries) -> Schedule:
         return _greedy_cheapest_fill(instance, emissions)
 
     network, capacities, costs = build_network(instance, emissions)
-    flows = _min_cost_flow(network, capacities, costs)
+    flows = _polymatroid_greedy(network, capacities, costs)
     certificate = verify_optimality(network, capacities, costs, flows)
     if not certificate.optimal:
         raise SolverError(

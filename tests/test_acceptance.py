@@ -317,11 +317,14 @@ def test_criterion_6_flattening_outputs_are_exchange_optimal():
     instance, baseload, emissions = week_instance(seed=0)
     flat = solve_flatten(FlattenProblem(instance, baseload))
     assert_exchange_optimal(instance, flat, baseload.kwh, tol=EXCHANGE_ATOL)
-    weights = Weights(1.0, 2.0)
-    balanced = solve_weighted(instance, emissions, baseload, weights)
-    bed = baseload.kwh + emission_baseload(emissions, weights).kwh
-    assert_exchange_optimal(instance, balanced, bed, tol=EXCHANGE_ATOL)
-    checked += 2
+    checked += 1
+    # Weight 0.1 lays the deepest emission bed of the sweep under the week.
+    for flatness_weight in (2.0, 0.1):
+        weights = Weights(1.0, flatness_weight)
+        balanced = solve_weighted(instance, emissions, baseload, weights)
+        bed = baseload.kwh + emission_baseload(emissions, weights).kwh
+        assert_exchange_optimal(instance, balanced, bed, tol=EXCHANGE_ATOL)
+        checked += 1
 
     verdict(6, True, f"{checked} schedules exchange-optimal at {EXCHANGE_ATOL:g}")
 

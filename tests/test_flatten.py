@@ -153,6 +153,30 @@ class TestSolveFlatten:
             schedule = solve_flatten(FlattenProblem(instance, BaseloadSeries(baseload)))
             assert_exchange_optimal(instance, schedule, baseload)
 
+    def test_exchange_optimality_on_a_deep_baseload(self):
+        # The integer grid follows the charging, not the baseload under it.
+        rng = np.random.default_rng(89)
+        for _ in range(20):
+            instance = random_instance(rng)
+            baseload = 1e9 + random_baseload(rng, instance.interval_count)
+            schedule = solve_flatten(FlattenProblem(instance, BaseloadSeries(baseload)))
+            validate_schedule(instance, schedule)
+            assert_exchange_optimal(instance, schedule, baseload)
+
+    def test_deep_baseload_over_a_week(self):
+        # Scaled levels summed over 672 intervals must stay inside int64.
+        rng = np.random.default_rng(97)
+        jobs = tuple(
+            Job(id=f"j{k}", arrival=start, departure=start + 96, energy_kwh=60.0, max_rate_kwh=37.5)
+            for k, start in enumerate((0, 40, 300))
+        )
+        instance = Instance(make_horizon(672), jobs)
+        baseload = 1e11 + random_baseload(rng, 672)
+        schedule = solve_flatten(FlattenProblem(instance, BaseloadSeries(baseload)))
+        validate_schedule(instance, schedule)
+        # Floats resolve a 1e11 kWh level to about 1.5e-5 kWh.
+        assert_exchange_optimal(instance, schedule, baseload, tol=1e-3)
+
     def test_aggregate_unique_under_job_permutation(self):
         rng = np.random.default_rng(73)
         for _ in range(20):

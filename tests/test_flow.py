@@ -1,4 +1,6 @@
-"""Tests for the minimum-emission flow solver."""
+"""Tests for the job/interval network and the minimum-emission solvers."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +9,10 @@ from scipy.sparse.csgraph import maximum_flow
 
 from depotcharge import flow
 from depotcharge.errors import InfeasibleError, ScalingOverflowError, SolverError
+from depotcharge.matching import match_week, to_jobs
 from depotcharge.model import Instance, Job, validate_schedule
 from depotcharge.oracle import lp_min_co2
+from depotcharge.synth import sinusoid_emissions, synth_timetable, week_horizon
 
 from helpers import make_horizon, random_emissions, random_instance
 
@@ -198,11 +202,52 @@ class TestSolveMinCo2:
         emissions = flow.EmissionSeries(np.array([0.1, 0.5]))
         # Everything through the dear interval: feasible, but beatable.
         monkeypatch.setattr(
-            flow, "_min_cost_flow",
+            flow, "_polymatroid_greedy",
             lambda network, capacities, costs: np.array([2000, 0, 2000, 0, 2000]),
         )
         with pytest.raises(SolverError):
             flow.solve_min_co2(instance, emissions)
+
+    def test_huge_caps_match_the_uncapped_greedy(self):
+        # 1e7 kWh is 1e10 watt-hours, past the 32-bit kernel range; caps
+        # that large never bind and must solve like no caps at all.
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            instance = random_instance(rng)
+            emissions = emission_series(rng, instance.interval_count)
+            capped = Instance(
+                instance.horizon, instance.jobs, caps_kwh=np.full(instance.interval_count, 1e7)
+            )
+            schedule = flow.solve_min_co2(capped, emissions)
+            validate_schedule(capped, schedule)
+            assert co2_total(schedule, emissions) == pytest.approx(
+                co2_total(flow.solve_min_co2(instance, emissions), emissions), abs=1e-9
+            )
+
+    def test_capped_solve_takes_at_most_m_plus_one_max_flows(self, monkeypatch):
+        calls = []
+        exact = flow.max_flow
+        monkeypatch.setattr(flow, "max_flow", lambda *args: calls.append(args) or exact(*args))
+        rng = np.random.default_rng(43)
+        for _ in range(10):
+            instance = random_instance(rng, with_caps=True)
+            calls.clear()
+            flow.solve_min_co2(instance, emission_series(rng, instance.interval_count))
+            assert 0 < len(calls) <= instance.interval_count + 1
+
+    def test_replicated_week_matches_reference_lp(self):
+        # The seed-0 roster twice over (420 jobs) under a 300 kWh cap per
+        # interval: the coupled regime the greedy exists for.
+        horizon = week_horizon()
+        roster = to_jobs(match_week(synth_timetable(seed=0).lines, horizon), horizon)
+        jobs = tuple(replace(job, id=f"{job.id}/{copy}") for copy in range(2) for job in roster)
+        instance = Instance(horizon, jobs, caps_kwh=np.full(horizon.interval_count, 300.0))
+        emissions = sinusoid_emissions(horizon)
+        schedule = flow.solve_min_co2(instance, emissions)
+        validate_schedule(instance, schedule)
+        reference = lp_min_co2(instance, emissions.kg_per_kwh)
+        assert len(jobs) == 420
+        assert co2_total(schedule, emissions) == pytest.approx(reference.objective, rel=1e-9)
 
     def test_infeasible_caps_raise(self):
         horizon = make_horizon(1)
@@ -229,7 +274,7 @@ class TestVerifyOptimality:
             instance = random_instance(rng, with_caps=True)
             emissions = emission_series(rng, instance.interval_count)
             network, capacities, costs = flow.build_network(instance, emissions)
-            flows = flow._min_cost_flow(network, capacities, costs)
+            flows = flow._polymatroid_greedy(network, capacities, costs)
             certificate = flow.verify_optimality(network, capacities, costs, flows)
             assert certificate.optimal
             assert certificate.witness_cycle == ()

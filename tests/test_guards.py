@@ -1,8 +1,8 @@
 """Load-bearing solver checks must hold under ``python -O``.
 
 Each test forces one internal fault and runs it in a subprocess with
-assertions stripped, expecting a SolverError rather than a wrong result
-or a hang.
+assertions stripped, expecting an error (a SolverError unless stated)
+rather than a wrong result or a hang.
 """
 
 import os
@@ -18,8 +18,8 @@ SRC = Path(depotcharge.__file__).resolve().parents[1]
 PRELUDE = """
 import numpy as np
 from datetime import datetime
-from depotcharge import flatten, weighted
-from depotcharge.errors import SolverError
+from depotcharge import flatten, flow, weighted
+from depotcharge.errors import InfeasibleError, SolverError
 from depotcharge.flow import EmissionSeries
 from depotcharge.model import BaseloadSeries, Horizon, Instance, Job
 
@@ -32,11 +32,11 @@ instance = Instance(horizon, (
 """
 
 
-def run_optimized(body: str, expected: str) -> None:
-    code = PRELUDE + textwrap.dedent(body) + """
+def run_optimized(body: str, expected: str, error: str = "SolverError") -> None:
+    code = PRELUDE + textwrap.dedent(body) + f"""
 try:
     fault()
-except SolverError as error:
+except {error} as error:
     print("refused:", error)
 else:
     raise SystemExit("the fault went unnoticed")
@@ -84,3 +84,14 @@ def test_completed_square_drift():
             weights = weighted.Weights(co2_weight=1.0, flatness_weight=2.0)
             weighted.solve_weighted(instance, emissions, None, weights)
     """, "completing-the-square")
+
+
+def test_short_extraction():
+    run_optimized("""
+        # Every max flow comes back empty, so the extraction routes nothing.
+        flow.max_flow = lambda network, capacities: (0, np.zeros(network.arc_count, dtype=np.int64))
+
+        def fault():
+            capped = Instance(horizon, instance.jobs, caps_kwh=np.full(4, 10.0))
+            flow.solve_min_co2(capped, EmissionSeries(np.array([0.3, 0.1, 0.2, 0.4])))
+    """, "no room", error="InfeasibleError")
