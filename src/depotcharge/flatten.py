@@ -1,29 +1,33 @@
-"""Profile flattening by recursive critical-group decomposition.
+"""Profile flattening by divide and conquer over max-flow cuts.
 
 The flattening objective ``sum_i (s(i) + b(i))^2`` is minimized by a
 water-filling profile: charging fills the lowest-total intervals until
-groups of intervals sit at common levels.  The solver peels those groups
-off one at a time, highest level first:
+groups of intervals sit at common levels.  This is the decomposition
+algorithm for separable convex costs over a polymatroid base (Fujishige,
+Math. OR 1980), driven by the threshold property of parametric min cuts
+(Gallo, Grigoriadis & Tarjan, SIAM J. Comput. 1989): the binding cut at
+a level X separates the intervals whose optimal level lies above X from
+the rest.  The solver keeps a stack of subproblems, each a set of jobs
+with their remaining energy and the intervals they reach:
 
-1. Parametric level search.  For a candidate level X every interval can
-   absorb ``max(0, X - b(i))``; a max-flow probe on the job/interval
-   network decides whether the remaining jobs fit under that ceiling.
-   Probes run on an integer grid, and each infeasible probe exposes a
-   violated cut whose exact requirement becomes the next candidate, so
-   the search reaches the minimal feasible level in a few probes.
-2. Critical group.  One grid step below the minimal level the probe is
-   infeasible, and its source-reachable cut names the jobs and intervals
-   that bind.  Their exact common level is recovered in floating point
-   by water-filling the cut's own baseload valleys.
-3. Peel and recurse.  Cut intervals are finalized.  Cut jobs saturate
-   their rate into every remaining window interval (that spill becomes
-   baseload for the rest), and the remainder is a smaller instance of
-   the same problem with strictly fewer intervals.
+1. Probe.  On an integer grid, X is the pooled level that fills the
+   subproblem's volume into its baseload valleys, ignoring windows and
+   rates, so no schedule's top level lies below it.  A max-flow probe
+   with sink capacities ``max(0, X - b(i))`` decides whether the jobs fit.
+2. Split.  If they do not, the probe's source-reachable cut names the
+   jobs and intervals above X.  Cut jobs saturate their rate into every
+   window interval outside the cut; that spill becomes baseload for the
+   rest, and both halves go back on the stack.
+3. Finalize.  If they fit, a probe one grid step lower cuts off the top
+   group.  Its exact common level is recovered in floating point by
+   water-filling the group's own baseload valleys and apportioned to
+   integer shares, which must route on the group's own network: a grid
+   group can join true groups less than a grid step apart, and then the
+   shares' cut splits it again.  The rest goes back on the stack.
 
-Each peel round builds one :class:`~depotcharge.flow.JobIntervalNetwork`
-over its remaining jobs and the intervals they reach, and every probe of
-the round only rewrites the sink capacities on it.  A final max flow
-against integer per-interval targets, on the network of the whole
+Each subproblem builds one :class:`~depotcharge.flow.JobIntervalNetwork`
+and every probe only rewrites its sink capacities.  A final max flow
+against the integer per-interval targets, on the network of the whole
 instance, extracts one feasible allocation.  The aggregate profile is
 unique even though the per-job decomposition is not.
 """
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, SolverError
+from .errors import SolverError
 from .flow import JobIntervalNetwork, _repair_delivery, _snap, max_flow, residual_reachable
 from .model import BaseloadSeries, Instance, Schedule
 
@@ -200,98 +204,92 @@ def _peel_targets(
     m = instance.interval_count
     arrivals = np.array([job.arrival for job in instance.jobs])
     departures = np.array([job.departure for job in instance.jobs])
-    active_job = np.ones(len(instance.jobs), dtype=bool)
-    open_interval = np.ones(m, dtype=bool)
+    spilled = np.zeros(len(instance.jobs), dtype=np.int64)
     b_eff_f = base_f.copy()
     b_eff_i = b_int.copy()
     target_int = np.zeros(m, dtype=np.int64)
 
-    while True:
-        jobs_idx = np.flatnonzero(active_job & (e_int > 0))
-        if len(jobs_idx) == 0:
-            break
-        volume = int(e_int[jobs_idx].sum())
-        # A job's window is its open intervals.  Numbered among the open
-        # intervals some remaining job reaches, every window is a range.
-        cover = np.zeros(m + 1, dtype=np.int64)
-        np.add.at(cover, arrivals[jobs_idx], 1)
-        np.add.at(cover, departures[jobs_idx], -1)
-        ints_idx = np.flatnonzero((np.cumsum(cover[:m]) > 0) & open_interval)
-        starts = np.searchsorted(ints_idx, arrivals[jobs_idx])
-        stops = np.searchsorted(ints_idx, departures[jobs_idx])
-        network = JobIntervalNetwork(starts, stops, len(ints_idx))
-        basins = b_eff_i[ints_idx]
-        capacities = network.capacities(
-            e_int[jobs_idx], l_int[jobs_idx], np.zeros(len(ints_idx), dtype=np.int64)
-        )
-        sink_arcs = network.sink_arcs()
-        # A sink arc clipped to the rates into its interval saturates only
-        # when its job arcs do, so flow values and cuts are unchanged.
-        reach = network.reach(capacities)
+    def split(jobs, ints, network, capacities, flows):
+        """(high, low) parts at the residual cut of a short flow.
 
-        def probe(level: int) -> tuple[int, np.ndarray]:
-            capacities[sink_arcs] = np.minimum(np.maximum(level - basins, 0), reach)
-            return max_flow(network, capacities)
-
-        def cut(flows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            """Source-side jobs and intervals, and each job's window count outside."""
-            reachable = residual_reachable(network, capacities, flows)
-            cut_int = reachable[network.interval_nodes()]
-            outside = np.bincount(
-                network.arc_job[~cut_int[network.arc_interval]], minlength=len(jobs_idx)
-            )
-            return reachable[network.job_nodes()], cut_int, outside
-
-        # Each violated cut states the exact level it needs; jumping there
-        # reaches the minimal feasible level without a bisection ladder.
-        # Per-job fills are necessary conditions too, so the search can
-        # start at the tightest of those instead of the pooled volume.
-        level = _min_int_level(basins, volume)
-        for lo, hi, energy in zip(starts, stops, e_int[jobs_idx]):
-            level = max(level, _min_int_level(basins[lo:hi], int(energy)))
-        while True:
-            value, flows = probe(level)
-            if value == volume:
-                break
-            cut_job, cut_int, outside = cut(flows)
-            cut_volume = int(
-                e_int[jobs_idx][cut_job].sum() - (l_int[jobs_idx] * outside)[cut_job].sum()
-            )
-            nxt = _min_int_level(basins[cut_int], cut_volume)
-            if nxt <= level:
-                raise SolverError(f"parametric level search failed to advance past {level}")
-            level = nxt
-
-        # The critical group binds one grid step below the minimal level.
-        value, flows = probe(level - 1)
-        cut_job, cut_int, outside = cut(flows)
-        cut_jobs = jobs_idx[cut_job]
-        cut_ints = ints_idx[cut_int]
-        outside_counts = outside[cut_job]
-        group_volume_f = float(
-            energies[cut_jobs].sum() - (rates[cut_jobs] * outside_counts).sum()
-        )
-        group_volume_i = int(
-            e_int[cut_jobs].sum() - (l_int[cut_jobs] * outside_counts).sum()
-        )
-        group_volume_f = max(group_volume_f, group_volume_i / scale)
-        lam, k_active = _float_water_fill(b_eff_f[cut_ints], group_volume_f)
-        fill_order = cut_ints[np.argsort(b_eff_f[cut_ints], kind="stable")]
-        group = fill_order[:k_active]
-        target_int[group] += _apportion(lam * scale - b_eff_i[group], group_volume_i)
-
-        # Cut jobs saturate every window interval left outside the cut;
-        # that spill is immovable and becomes baseload for the remainder.
+        The source side is the high part.  Its jobs saturate their rate
+        into every window interval left outside; that spill is immovable
+        and becomes baseload for the low part.
+        """
+        reachable = residual_reachable(network, capacities, flows)
+        cut_job = reachable[network.job_nodes()]
+        cut_int = reachable[network.interval_nodes()]
         # Arcs are job-major, so each interval takes its spills in job order.
         spill = cut_job[network.arc_job] & ~cut_int[network.arc_interval]
-        spill_jobs = jobs_idx[network.arc_job[spill]]
-        spill_ints = ints_idx[network.arc_interval[spill]]
+        spill_jobs = jobs[network.arc_job[spill]]
+        spill_ints = ints[network.arc_interval[spill]]
+        np.add.at(spilled, spill_jobs, 1)
         np.add.at(target_int, spill_ints, l_int[spill_jobs])
         np.add.at(b_eff_i, spill_ints, l_int[spill_jobs])
         np.add.at(b_eff_f, spill_ints, rates[spill_jobs])
+        return (jobs[cut_job], ints[cut_int], None), (jobs[~cut_job], ints[~cut_int], None)
 
-        active_job[cut_jobs] = False
-        open_interval[cut_ints] = False
+    # Each entry is (jobs, intervals, shares): a subproblem to probe, or,
+    # with integer shares per interval, a group to check.
+    stack = [(np.arange(len(instance.jobs)), np.arange(m), None)]
+    while stack:
+        jobs, ints, shares = stack.pop()
+        remaining = e_int[jobs] - l_int[jobs] * spilled[jobs]
+        jobs, remaining = jobs[remaining > 0], remaining[remaining > 0]
+        if len(jobs) == 0:
+            continue
+        # Numbered among the intervals its jobs reach, every window is a range.
+        cover = np.zeros(m + 1, dtype=np.int64)
+        np.add.at(cover, arrivals[jobs], 1)
+        np.add.at(cover, departures[jobs], -1)
+        ints = ints[(np.cumsum(cover[:m]) > 0)[ints]]
+        starts = np.searchsorted(ints, arrivals[jobs])
+        network = JobIntervalNetwork(starts, np.searchsorted(ints, departures[jobs]), len(ints))
+        capacities = network.capacities(remaining, l_int[jobs], np.zeros(len(ints), dtype=np.int64))
+        sink_arcs = network.sink_arcs()
+        volume = int(remaining.sum())
+        reach = network.reach(capacities)
+
+        def ceiling(level: int) -> np.ndarray:
+            # A sink arc clipped to the rates into its interval saturates
+            # only when its job arcs do, so flow values and cuts are unchanged.
+            return np.minimum(np.maximum(level - b_eff_i[ints], 0), reach)
+
+        # The pooled level ignores windows and rates, so no schedule's top
+        # level lies below it, and a cut there splits off all above it.  A
+        # grid group can join true groups less than a grid step apart; its
+        # shares then do not route, and their cut splits it the same way.
+        if shares is None:
+            level = _min_int_level(b_eff_i[ints], volume)
+        capacities[sink_arcs] = ceiling(level) if shares is None else shares[ints]
+        value, flows = max_flow(network, capacities)
+        if value < volume:
+            high, low = split(jobs, ints, network, capacities, flows)
+            if len(low[1]) == 0:
+                what = f"level {level}" if shares is None else "a group's shares"
+                raise SolverError(f"the cut at {what} failed to advance")
+            stack += [low, high]
+            continue
+        if shares is not None:
+            target_int[ints] += shares[ints]
+            continue
+
+        # The pooled level routes, so the top group binds one grid step below.
+        capacities[sink_arcs] = ceiling(level - 1)
+        value, flows = max_flow(network, capacities)
+        if value == volume:
+            raise SolverError(f"level {level} still routes one grid step below")
+        (cut_jobs, cut_ints, _), low = split(jobs, ints, network, capacities, flows)
+        stack.append(low)
+        outside = spilled[cut_jobs]
+        group_volume_f = float(energies[cut_jobs].sum() - (rates[cut_jobs] * outside).sum())
+        group_volume_i = int(e_int[cut_jobs].sum() - (l_int[cut_jobs] * outside).sum())
+        group_volume_f = max(group_volume_f, group_volume_i / scale)
+        lam, k_active = _float_water_fill(b_eff_f[cut_ints], group_volume_f)
+        group = cut_ints[np.argsort(b_eff_f[cut_ints], kind="stable")][:k_active]
+        shares = np.zeros(m, dtype=np.int64)
+        shares[group] = _apportion(lam * scale - b_eff_i[group], group_volume_i)
+        stack.append((cut_jobs, cut_ints, shares))
     return target_int
 
 
@@ -309,12 +307,7 @@ def _extract(
     total = int(e_int.sum())
     value, flows = max_flow(network, capacities)
     if value < total:
-        # Integer rounding of the targets can pinch a corner; one unit of
-        # headroom per interval restores an exact decomposition.
-        capacities[network.sink_arcs()] += 1
-        value, flows = max_flow(network, capacities)
-        if value < total:
-            raise InfeasibleError("could not decompose the flattened profile into allocations")
+        raise SolverError(f"the flattened targets route {value} of {total} grid units")
 
     windows = network.job_windows(flows / scale)
     allocations = {job.id: values for job, values in zip(instance.jobs, windows)}

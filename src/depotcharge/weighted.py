@@ -116,8 +116,11 @@ def solve_weighted(
     direct = weighted_objective(schedule, emissions, real_baseload, weights)
     totals = schedule.aggregate_kwh + combined.kwh
     constant = float(np.dot(beta.kwh, beta.kwh + 2.0 * base))
-    expanded = weights.flatness_weight * (float(np.dot(totals, totals)) - constant)
-    if abs(direct - expanded) > 1e-8 * max(1.0, abs(direct)):
+    squares = float(np.dot(totals, totals))
+    expanded = weights.flatness_weight * (squares - constant)
+    # The expansion cancels terms as large as wf * squares, so its round-off
+    # scales with them, not with the (possibly much smaller) objective.
+    if abs(direct - expanded) > 1e-8 * max(1.0, abs(direct), weights.flatness_weight * squares):
         raise SolverError(
             f"completing-the-square bookkeeping drifted: {direct} against {expanded}"
         )

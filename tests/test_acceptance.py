@@ -325,6 +325,15 @@ def test_criterion_6_flattening_outputs_are_exchange_optimal():
         bed = baseload.kwh + emission_baseload(emissions, weights).kwh
         assert_exchange_optimal(instance, balanced, bed, tol=EXCHANGE_ATOL)
         checked += 1
+    # The flexibility experiment's independent schedule: no baseload, so
+    # separate groups of the roster can sit less than a grid step apart.
+    for seed in range(4):
+        horizon = week_horizon()
+        jobs = to_jobs(match_week(synth_timetable(seed=seed).lines, horizon), horizon)
+        fleet = Instance(horizon=horizon, jobs=jobs)
+        independent = solve_flatten(FlattenProblem(fleet))
+        assert_exchange_optimal(fleet, independent, None, tol=EXCHANGE_ATOL)
+        checked += 1
 
     verdict(6, True, f"{checked} schedules exchange-optimal at {EXCHANGE_ATOL:g}")
 

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+from depotcharge import flatten, synth
 from depotcharge.baseline import solve_uncontrolled
+from depotcharge.cli import OFFICE_BASELOAD_KW
 from depotcharge.flatten import FlattenProblem, levels, solve_flatten
+from depotcharge.matching import match_week, to_jobs
 from depotcharge.model import BaseloadSeries, Instance, Job, validate_schedule
 from depotcharge.oracle import qp_flatten
+from depotcharge.weighted import sweep
 
 from helpers import (
     assert_exchange_optimal,
@@ -176,6 +180,19 @@ class TestSolveFlatten:
         validate_schedule(instance, schedule)
         # Floats resolve a 1e11 kWh level to about 1.5e-5 kWh.
         assert_exchange_optimal(instance, schedule, baseload, tol=1e-3)
+
+    def test_week_sweep_probe_budget(self, monkeypatch):
+        # Every cut splits the problem, so no probe is spent on a level
+        # ladder: the seed-0 sweep made 3,252 max flows with one.
+        calls = []
+        exact = flatten.max_flow
+        monkeypatch.setattr(flatten, "max_flow", lambda *args: calls.append(args) or exact(*args))
+        horizon = synth.week_horizon()
+        jobs = to_jobs(match_week(synth.synth_timetable(seed=0).lines, horizon), horizon)
+        low, high = OFFICE_BASELOAD_KW
+        baseload = synth.random_baseload(horizon, low, high, seed=0)
+        sweep(Instance(horizon, jobs), synth.sinusoid_emissions(horizon), baseload)
+        assert 0 < len(calls) <= 2000
 
     def test_aggregate_unique_under_job_permutation(self):
         rng = np.random.default_rng(73)

@@ -60,6 +60,26 @@ def test_stalled_level_search():
     """, "failed to advance")
 
 
+def test_top_level_that_routes_one_step_lower():
+    run_optimized("""
+        # A pooled level far above the water routes, and so does the one below.
+        flatten._min_int_level = lambda basins, volume: 10**15
+
+        def fault():
+            flatten.solve_flatten(flatten.FlattenProblem(instance))
+    """, "one grid step below")
+
+
+def test_group_shares_that_never_route():
+    run_optimized("""
+        # Zero shares route nothing, so the cut takes in the whole group.
+        flatten._apportion = lambda raw, total: np.zeros(len(raw), dtype=np.int64)
+
+        def fault():
+            flatten.solve_flatten(flatten.FlattenProblem(instance))
+    """, "a group's shares")
+
+
 def test_integer_water_fill_without_a_level():
     run_optimized("""
         def fault():

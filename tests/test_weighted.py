@@ -268,6 +268,18 @@ class TestSolveWeighted:
                 w_rival = weighted_objective(rival, co2, base, weights)
                 assert w_best <= w_rival + 1e-6 * max(1.0, abs(w_rival))
 
+    def test_tiny_flatness_weight_passes_the_square_check(self):
+        # At weight 1e-9 the emission bed is about 1e8 kWh deep, so the
+        # expanded square cancels terms far larger than the objective.
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            instance = random_instance(rng)
+            m = instance.interval_count
+            co2 = EmissionSeries(random_emissions(rng, m))
+            base = BaseloadSeries(random_baseload(rng, m))
+            schedule = solve_weighted(instance, co2, base, Weights(1.0, 1e-9))
+            assert_valid(instance, schedule)
+
     def test_rejects_aggregate_caps(self):
         rng = np.random.default_rng(16)
         instance = random_instance(rng, with_caps=True)
