@@ -5,6 +5,9 @@ three objectives: minimal time-of-use CO2 emissions, a flat depot power
 profile, and any weighted combination of the two.  It also carries the
 surrounding pipeline: bus-to-line matching, synthetic data generation,
 metrics, and a command-line runner for week-long experiments.
+
+The reference solvers in :mod:`depotcharge.oracle` are for tests and are
+not imported here: they pull in ``scipy.optimize``.
 """
 
 from .baseline import solve_uncontrolled
@@ -74,7 +77,6 @@ from .model import (
     check_feasible,
     validate_schedule,
 )
-from .oracle import ReferenceSolution, lp_min_co2, qp_flatten
 from .synth import (
     TimetableProfile,
     random_baseload,
@@ -117,7 +119,6 @@ __all__ = [
     "LineTimetable",
     "NonConvergenceError",
     "ParseError",
-    "ReferenceSolution",
     "ScalingOverflowError",
     "ScenarioReport",
     "Schedule",
@@ -134,7 +135,6 @@ __all__ = [
     "flatness",
     "flexibility_gain",
     "levels",
-    "lp_min_co2",
     "load_baseload",
     "load_emissions",
     "load_timetable",
@@ -142,7 +142,6 @@ __all__ = [
     "match",
     "match_week",
     "peak_kw",
-    "qp_flatten",
     "random_baseload",
     "read_report",
     "reduction_pct",

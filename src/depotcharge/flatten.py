@@ -7,29 +7,33 @@ algorithm for separable convex costs over a polymatroid base (Fujishige,
 Math. OR 1980), driven by the threshold property of parametric min cuts
 (Gallo, Grigoriadis & Tarjan, SIAM J. Comput. 1989): the binding cut at
 a level X separates the intervals whose optimal level lies above X from
-the rest.  The solver keeps a stack of subproblems, each a set of jobs
-with their remaining energy and the intervals they reach:
+the rest.  Subproblems are blocks, each a set of jobs with their
+remaining energy and the intervals they reach, and a level of the
+divide and conquer holds every block alive:
 
 1. Probe.  On an integer grid, X is the pooled level that fills the
-   subproblem's volume into its baseload valleys, ignoring windows and
+   block's volume into its baseload valleys, ignoring windows and
    rates, so no schedule's top level lies below it.  A max-flow probe
    with sink capacities ``max(0, X - b(i))`` decides whether the jobs fit.
 2. Split.  If they do not, the probe's source-reachable cut names the
    jobs and intervals above X.  Cut jobs saturate their rate into every
    window interval outside the cut; that spill becomes baseload for the
-   rest, and both halves go back on the stack.
+   rest, and both halves are blocks of the next level.
 3. Finalize.  If they fit, a probe one grid step lower cuts off the top
    group.  Its exact common level is recovered in floating point by
    water-filling the group's own baseload valleys and apportioned to
-   integer shares, which must route on the group's own network: a grid
+   integer shares, which must route on the group's own block: a grid
    group can join true groups less than a grid step apart, and then the
-   shares' cut splits it again.  The rest goes back on the stack.
+   shares' cut splits it again.
 
-Each subproblem builds one :class:`~depotcharge.flow.JobIntervalNetwork`
-and every probe only rewrites its sink capacities.  A final max flow
-against the integer per-interval targets, on the network of the whole
-instance, extracts one feasible allocation.  The aggregate profile is
-unique even though the per-job decomposition is not.
+The blocks of a level share no job and no interval, so one
+:class:`~depotcharge.flow.JobIntervalNetwork` holds the whole level as
+disjoint blocks: one max flow decides every probe and every group check,
+a second one takes the probes one step lower, and one residual search
+reads every block's cut.  A final max flow against the integer
+per-interval targets, on the network of the whole instance, extracts one
+feasible allocation.  The aggregate profile is unique even though the
+per-job decomposition is not.
 """
 
 from __future__ import annotations
@@ -102,11 +106,13 @@ def solve_flatten(problem: FlattenProblem) -> Schedule:
     energies = np.array([job.energy_kwh for job in jobs])
     scale = _pick_scale(instance, base_f, rates, energies)
 
-    e_int = np.rint(energies * scale).astype(np.int64)
     l_int = np.rint(rates * scale).astype(np.int64)
-    b_int = np.rint(base_f * scale).astype(np.int64)
+    # An off-grid rate can round below energy / width; a job then keeps
+    # what its window takes on the grid, and the repair restores the rest.
+    widths = np.array([job.departure - job.arrival for job in jobs])
+    e_int = np.minimum(np.rint(energies * scale).astype(np.int64), l_int * widths)
 
-    target_int = _peel_targets(instance, energies, rates, e_int, l_int, base_f, b_int, scale)
+    target_int = _peel_targets(instance, energies, rates, e_int, l_int, base_f, scale)
     allocations = _extract(instance, rates, e_int, scale, target_int, base_f)
     return Schedule.build(instance, allocations)
 
@@ -132,13 +138,10 @@ def _pick_scale(
 def _min_int_level(basins: np.ndarray, volume: int) -> int:
     """Smallest integer X with sum_i max(0, X - basins[i]) >= volume."""
     order = np.sort(basins)
-    prefix = np.cumsum(order)
-    count = len(order)
-    ks = np.arange(1, count + 1, dtype=np.int64)
-    candidates = -(-(volume + prefix) // ks)
-    upper = np.empty(count, dtype=order.dtype)
-    upper[:-1] = order[1:]
-    upper[-1] = np.iinfo(np.int64).max
+    ks = np.arange(1, len(order) + 1, dtype=np.int64)
+    candidates = -(-(volume + np.cumsum(order)) // ks)
+    # With no basins at all, no candidate is valid either.
+    upper = np.append(order[1:], np.iinfo(np.int64).max)
     valid = np.flatnonzero((candidates > order) & (candidates <= upper))
     if len(valid) == 0:
         raise SolverError("integer water fill found no level")
@@ -152,15 +155,12 @@ def _float_water_fill(basins: np.ndarray, volume: float) -> tuple[float, int]:
     absorb the whole volume.
     """
     order = np.sort(basins)
-    prefix = np.cumsum(order)
-    count = len(order)
-    for k in range(1, count + 1):
-        level = (volume + float(prefix[k - 1])) / k
-        if level > order[k - 1] and (k == count or level <= order[k]):
-            return level, k
+    levels = (volume + np.cumsum(order)) / np.arange(1, len(order) + 1)
+    fits = np.flatnonzero((levels > order) & (levels <= np.append(order[1:], np.inf)))
     # Round-off can leave no exact segment when volume is vanishingly
     # small; fall back to spreading over every basin.
-    return (volume + float(prefix[-1])) / count, count
+    k = int(fits[0]) + 1 if len(fits) else len(order)
+    return float(levels[k - 1]), k
 
 
 def _apportion(raw: np.ndarray, total: int) -> np.ndarray:
@@ -171,22 +171,17 @@ def _apportion(raw: np.ndarray, total: int) -> np.ndarray:
     shares = np.floor(raw).astype(np.int64)
     fracs = raw - shares
     deficit = total - int(shares.sum())
+    # Units go round the largest fractions first, come back round the
+    # smallest, one unit per share and pass.
     if deficit > 0:
-        order = np.argsort(-fracs, kind="stable")
-        pos = 0
-        while deficit > 0:
-            shares[order[pos % len(order)]] += 1
-            deficit -= 1
-            pos += 1
-    elif deficit < 0:
-        order = np.argsort(fracs, kind="stable")
-        pos = 0
-        while deficit < 0:
-            idx = order[pos % len(order)]
-            if shares[idx] > 0:
-                shares[idx] -= 1
-                deficit += 1
-            pos += 1
+        rounds, extra = divmod(deficit, len(raw))
+        shares += rounds
+        shares[np.argsort(-fracs, kind="stable")[:extra]] += 1
+    order = np.argsort(fracs, kind="stable")
+    while deficit < 0:
+        down = order[shares[order] > 0][:-deficit]
+        shares[down] -= 1
+        deficit += len(down)
     return shares
 
 
@@ -197,7 +192,6 @@ def _peel_targets(
     e_int: np.ndarray,
     l_int: np.ndarray,
     base_f: np.ndarray,
-    b_int: np.ndarray,
     scale: int,
 ) -> np.ndarray:
     """Per-interval integer charge targets realizing the water-fill optimum."""
@@ -206,19 +200,81 @@ def _peel_targets(
     departures = np.array([job.departure for job in instance.jobs])
     spilled = np.zeros(len(instance.jobs), dtype=np.int64)
     b_eff_f = base_f.copy()
-    b_eff_i = b_int.copy()
+    b_eff_i = np.rint(base_f * scale).astype(np.int64)
     target_int = np.zeros(m, dtype=np.int64)
+    shares = np.zeros(m, dtype=np.int64)
+    # Each live job and interval carries its block's label; checks[label]
+    # marks a group whose shares must route, the rest probe a level.
+    job_block = np.zeros(len(instance.jobs), dtype=np.int64)
+    int_block = np.zeros(m, dtype=np.int64)
+    checks = np.zeros(1, dtype=bool)
+    while True:
+        remaining = e_int - l_int * spilled
+        job_block[remaining <= 0] = -1
+        if np.all(job_block < 0):
+            return target_int
+        # Block-major, in index order within a block; labels of -1 sort first.
+        jobs = np.argsort(job_block, kind="stable")[np.count_nonzero(job_block < 0) :]
+        ints = np.argsort(int_block, kind="stable")[np.count_nonzero(int_block < 0) :]
+        # Numbered block after block among the intervals its jobs reach,
+        # every window is a range.  Blocks share no node but the source
+        # and the sink, so one network holds the level and one max flow
+        # decides every block.
+        first = job_block[jobs] * m + arrivals[jobs]
+        last = job_block[jobs] * m + departures[jobs]
+        keys = int_block[ints] * m + ints
+        ends = [np.bincount(np.searchsorted(keys, end), minlength=len(ints) + 1) for end in (first, last)]
+        reached = np.cumsum(ends[0] - ends[1])[:-1] > 0
+        int_block[ints[~reached]] = -1
+        ints, keys = ints[reached], keys[reached]
+        network = JobIntervalNetwork(np.searchsorted(keys, first), np.searchsorted(keys, last), len(ints))
+        labels, job_start, job_pos = np.unique(job_block[jobs], return_index=True, return_inverse=True)
+        int_pos = np.searchsorted(labels, int_block[ints])
+        checking = checks[labels]
+        volume = np.add.reduceat(remaining[jobs], job_start)
+        capacities = network.capacities(remaining[jobs], l_int[jobs], np.zeros(len(ints), dtype=np.int64))
+        sink_arcs = network.sink_arcs()
+        reach = network.reach(capacities)
 
-    def split(jobs, ints, network, capacities, flows):
-        """(high, low) parts at the residual cut of a short flow.
+        def ceiling(level: np.ndarray) -> np.ndarray:
+            # A sink arc clipped to the rates into its interval saturates
+            # only when its job arcs do, so flow values and cuts are unchanged.
+            return np.minimum(np.maximum(level[int_pos] - b_eff_i[ints], 0), reach)
 
-        The source side is the high part.  Its jobs saturate their rate
-        into every window interval left outside; that spill is immovable
-        and becomes baseload for the low part.
-        """
+        # The pooled level ignores windows and rates, so no schedule's top
+        # level lies below it, and a cut there splits off all above it.  A
+        # grid group can join true groups less than a grid step apart; its
+        # shares then do not route, and their cut splits it the same way.
+        level = np.zeros(len(labels), dtype=np.int64)
+        for b in np.flatnonzero(~checking):
+            level[b] = _min_int_level(b_eff_i[ints[int_pos == b]], volume[b])
+        capacities[sink_arcs] = np.where(checking[int_pos], shares[ints], ceiling(level))
+        _, flows = max_flow(network, capacities)
+        short = np.add.reduceat(flows[: len(jobs)], job_start) < volume
+        done = checking & ~short
+        target_int[ints[done[int_pos]]] += shares[ints[done[int_pos]]]
+        # A pooled level that routes binds its top group one grid step
+        # below.  The other blocks sit that max flow out with no capacity
+        # and keep their first flow, so one residual search reads every cut.
+        top = ~checking & ~short
+        if top.any():
+            on_top = top[np.concatenate([job_pos, job_pos[network.arc_job], int_pos])]
+            capacities[sink_arcs] = np.where(top[int_pos], ceiling(level - 1), capacities[sink_arcs])
+            _, lower = max_flow(network, np.where(on_top, capacities, 0))
+            routes = top & (np.add.reduceat(lower[: len(jobs)], job_start) == volume)
+            if routes.any():
+                raise SolverError(f"level {level[routes][0]} still routes one grid step below")
+            flows = np.where(on_top, lower, flows)
+
+        # The source side of a cut is each block's high part.  Its jobs
+        # saturate their rate into every window interval left outside;
+        # that spill is immovable and becomes baseload for the rest.
         reachable = residual_reachable(network, capacities, flows)
-        cut_job = reachable[network.job_nodes()]
-        cut_int = reachable[network.interval_nodes()]
+        cut_job, cut_int = reachable[network.job_nodes()], reachable[network.interval_nodes()]
+        stalled = np.flatnonzero(short & (np.bincount(int_pos[~cut_int], minlength=len(labels)) == 0))
+        if len(stalled):
+            what = "a group's shares" if checking[stalled[0]] else f"level {level[stalled[0]]}"
+            raise SolverError(f"the cut at {what} failed to advance")
         # Arcs are job-major, so each interval takes its spills in job order.
         spill = cut_job[network.arc_job] & ~cut_int[network.arc_interval]
         spill_jobs = jobs[network.arc_job[spill]]
@@ -227,70 +283,22 @@ def _peel_targets(
         np.add.at(target_int, spill_ints, l_int[spill_jobs])
         np.add.at(b_eff_i, spill_ints, l_int[spill_jobs])
         np.add.at(b_eff_f, spill_ints, rates[spill_jobs])
-        return (jobs[cut_job], ints[cut_int], None), (jobs[~cut_job], ints[~cut_int], None)
 
-    # Each entry is (jobs, intervals, shares): a subproblem to probe, or,
-    # with integer shares per interval, a group to check.
-    stack = [(np.arange(len(instance.jobs)), np.arange(m), None)]
-    while stack:
-        jobs, ints, shares = stack.pop()
-        remaining = e_int[jobs] - l_int[jobs] * spilled[jobs]
-        jobs, remaining = jobs[remaining > 0], remaining[remaining > 0]
-        if len(jobs) == 0:
-            continue
-        # Numbered among the intervals its jobs reach, every window is a range.
-        cover = np.zeros(m + 1, dtype=np.int64)
-        np.add.at(cover, arrivals[jobs], 1)
-        np.add.at(cover, departures[jobs], -1)
-        ints = ints[(np.cumsum(cover[:m]) > 0)[ints]]
-        starts = np.searchsorted(ints, arrivals[jobs])
-        network = JobIntervalNetwork(starts, np.searchsorted(ints, departures[jobs]), len(ints))
-        capacities = network.capacities(remaining, l_int[jobs], np.zeros(len(ints), dtype=np.int64))
-        sink_arcs = network.sink_arcs()
-        volume = int(remaining.sum())
-        reach = network.reach(capacities)
-
-        def ceiling(level: int) -> np.ndarray:
-            # A sink arc clipped to the rates into its interval saturates
-            # only when its job arcs do, so flow values and cuts are unchanged.
-            return np.minimum(np.maximum(level - b_eff_i[ints], 0), reach)
-
-        # The pooled level ignores windows and rates, so no schedule's top
-        # level lies below it, and a cut there splits off all above it.  A
-        # grid group can join true groups less than a grid step apart; its
-        # shares then do not route, and their cut splits it the same way.
-        if shares is None:
-            level = _min_int_level(b_eff_i[ints], volume)
-        capacities[sink_arcs] = ceiling(level) if shares is None else shares[ints]
-        value, flows = max_flow(network, capacities)
-        if value < volume:
-            high, low = split(jobs, ints, network, capacities, flows)
-            if len(low[1]) == 0:
-                what = f"level {level}" if shares is None else "a group's shares"
-                raise SolverError(f"the cut at {what} failed to advance")
-            stack += [low, high]
-            continue
-        if shares is not None:
-            target_int[ints] += shares[ints]
-            continue
-
-        # The pooled level routes, so the top group binds one grid step below.
-        capacities[sink_arcs] = ceiling(level - 1)
-        value, flows = max_flow(network, capacities)
-        if value == volume:
-            raise SolverError(f"level {level} still routes one grid step below")
-        (cut_jobs, cut_ints, _), low = split(jobs, ints, network, capacities, flows)
-        stack.append(low)
-        outside = spilled[cut_jobs]
-        group_volume_f = float(energies[cut_jobs].sum() - (rates[cut_jobs] * outside).sum())
-        group_volume_i = int(e_int[cut_jobs].sum() - (l_int[cut_jobs] * outside).sum())
-        group_volume_f = max(group_volume_f, group_volume_i / scale)
-        lam, k_active = _float_water_fill(b_eff_f[cut_ints], group_volume_f)
-        group = cut_ints[np.argsort(b_eff_f[cut_ints], kind="stable")][:k_active]
-        shares = np.zeros(m, dtype=np.int64)
-        shares[group] = _apportion(lam * scale - b_eff_i[group], group_volume_i)
-        stack.append((cut_jobs, cut_ints, shares))
-    return target_int
+        for b in np.flatnonzero(top):
+            cut_jobs = jobs[cut_job & (job_pos == b)]
+            cut_ints = ints[cut_int & (int_pos == b)]
+            outside = spilled[cut_jobs]
+            group_volume_f = float(energies[cut_jobs].sum() - (rates[cut_jobs] * outside).sum())
+            group_volume_i = int(e_int[cut_jobs].sum() - (l_int[cut_jobs] * outside).sum())
+            group_volume_f = max(group_volume_f, group_volume_i / scale)
+            lam, k_active = _float_water_fill(b_eff_f[cut_ints], group_volume_f)
+            group = cut_ints[np.argsort(b_eff_f[cut_ints], kind="stable")][:k_active]
+            shares[cut_ints] = 0
+            shares[group] = _apportion(lam * scale - b_eff_i[group], group_volume_i)
+        # Each block's cut side and rest form the next level; a top block's cut side is its group.
+        job_block[jobs] = np.where(done[job_pos], -1, 2 * job_pos + cut_job)
+        int_block[ints] = np.where(done[int_pos], -1, 2 * int_pos + cut_int)
+        checks = np.repeat(top, 2) & np.tile([False, True], len(labels))
 
 
 def _extract(

@@ -14,8 +14,9 @@ each sink arc capped by the aggregate cap (or an amount that never
 binds, when the instance has no caps) and paying the interval's emission
 factor per unit.  The loads the intervals can take form a polymatroid
 whose rank is a max flow, so capped instances are solved by Edmonds'
-greedy over max-flow ranks (m + 1 max flows), and every such solve is
-checked by the optimality certificate (:func:`verify_optimality`);
+greedy over bisected max-flow ranks (at most m + 1 max flows), and
+every such solve is checked by the optimality certificate
+(:func:`verify_optimality`);
 without caps the problem separates per job and is filled greedily.
 
 Quantities are scaled to integers before solving: energies at watt-hour
@@ -265,23 +266,45 @@ def _polymatroid_greedy(
     deliver form a polymatroid whose rank r(S) is the max flow with only
     the sink arcs of S open, so a linear cost is minimised by opening the
     sink arcs in stable order of cost and giving interval i exactly
-    y(i) = r(S_i) - r(S_{i-1}), its rank increment.  One more max flow
-    with sink capacities y extracts the flow; that is m + 1 max flows.
-    Returns the integer flow per network arc; raises InfeasibleError when
-    the supplies cannot all be routed.
+    y(i) = r(S_i) - r(S_{i-1}), its rank increment.  Increments lie
+    between 0 and the cap, so the ranks are bisected: a run of the order
+    whose rank gain is 0, or the sum of its caps, settles at once.  With
+    the final max flow, which extracts the flow with sink capacities y,
+    that is at most m + 1 max flows.  Returns the integer flow per
+    network arc; raises InfeasibleError when the supplies cannot all be
+    routed.
     """
     sink_arcs = network.sink_arcs()
     # A cap beyond the summed rates into its interval never binds;
     # clipping it keeps huge caps inside the kernel range.
     caps = np.minimum(capacities[sink_arcs], network.reach(capacities))
-    probe = capacities.copy()
-    probe[sink_arcs] = 0
-    ranks = np.empty(network.interval_count, dtype=np.int64)
     order = np.argsort(costs[sink_arcs], kind="stable")
-    for i in order:
-        probe[sink_arcs.start + i] = caps[i]
-        ranks[i], _ = max_flow(network, probe)
-    probe[sink_arcs.start + order] = np.diff(ranks[order], prepend=0)
+    ordered_caps = caps[order]
+    opened = np.concatenate([[0], np.cumsum(ordered_caps)])
+    probe = capacities.copy()
+
+    def rank(k: int) -> int:
+        """r(S_k): the max flow with the k cheapest sink arcs open."""
+        probe[sink_arcs] = 0
+        probe[sink_arcs.start + order[:k]] = ordered_caps[:k]
+        return max_flow(network, probe)[0]
+
+    m = network.interval_count
+    ranks = {0: 0, m: rank(m)}
+    increments = np.zeros(m, dtype=np.int64)
+    runs = [(0, m)]
+    while runs:
+        a, b = runs.pop()
+        gain = ranks[b] - ranks[a]
+        if gain == opened[b] - opened[a]:
+            increments[a:b] = ordered_caps[a:b]
+        elif b - a == 1:
+            increments[a] = gain
+        elif gain:
+            mid = (a + b) // 2
+            ranks[mid] = rank(mid)
+            runs += [(mid, b), (a, mid)]
+    probe[sink_arcs.start + order] = increments
     value, flows = max_flow(network, probe)
     if value < int(capacities[network.source_arcs()].sum()):
         raise InfeasibleError("aggregate caps leave no room for the remaining charging energy")

@@ -235,6 +235,19 @@ class TestSolveMinCo2:
             flow.solve_min_co2(instance, emission_series(rng, instance.interval_count))
             assert 0 < len(calls) <= instance.interval_count + 1
 
+    def test_week_cap_bisects_the_ranks(self, monkeypatch):
+        # Runs of the cost order whose rank gain is 0 or all of their caps
+        # settle without a max flow each: m + 1 = 673 max flows without.
+        calls = []
+        exact = flow.max_flow
+        monkeypatch.setattr(flow, "max_flow", lambda *args: calls.append(args) or exact(*args))
+        horizon = week_horizon()
+        jobs = to_jobs(match_week(synth_timetable(seed=0).lines, horizon), horizon)
+        instance = Instance(horizon, jobs, caps_kwh=np.full(horizon.interval_count, 150.0))
+        schedule = flow.solve_min_co2(instance, sinusoid_emissions(horizon))
+        validate_schedule(instance, schedule)
+        assert 0 < len(calls) <= 500
+
     def test_replicated_week_matches_reference_lp(self):
         # The seed-0 roster twice over (420 jobs) under a 300 kWh cap per
         # interval: the coupled regime the greedy exists for.

@@ -80,10 +80,41 @@ def test_group_shares_that_never_route():
     """, "a group's shares")
 
 
+def test_group_shares_that_never_route_beside_a_routing_block():
+    run_optimized("""
+        # Two groups share a level: the first one's zero shares route
+        # nothing while the second one's route in the same max flow.
+        exact = flatten._apportion
+        groups = []
+
+        def first_group_routes_nothing(raw, total):
+            groups.append(total)
+            if len(groups) == 1:
+                return np.zeros(len(raw), dtype=np.int64)
+            return exact(raw, total)
+
+        flatten._apportion = first_group_routes_nothing
+        halves = Instance(horizon, (
+            Job(id="a", arrival=0, departure=2, energy_kwh=4.0, max_rate_kwh=4.0),
+            Job(id="b", arrival=2, departure=4, energy_kwh=1.0, max_rate_kwh=4.0),
+        ))
+
+        def fault():
+            flatten.solve_flatten(flatten.FlattenProblem(halves))
+    """, "a group's shares")
+
+
 def test_integer_water_fill_without_a_level():
     run_optimized("""
         def fault():
             flatten._min_int_level(np.array([1, 2]), 0)
+    """, "found no level")
+
+
+def test_integer_water_fill_without_basins():
+    run_optimized("""
+        def fault():
+            flatten._min_int_level(np.array([], dtype=np.int64), 5)
     """, "found no level")
 
 

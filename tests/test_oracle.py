@@ -5,9 +5,15 @@ their own independent checks here: closed-form instances, exhaustive
 grid search on two-variable problems, and structural identities.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import depotcharge
 from depotcharge.errors import InfeasibleError
 from depotcharge.model import Instance, Job
 from depotcharge.oracle import lp_min_co2, qp_flatten
@@ -134,3 +140,15 @@ class TestFlattenReference:
         )
         with pytest.raises(ValueError):
             qp_flatten(instance, np.zeros(2))
+
+
+def test_package_import_leaves_the_oracle_out():
+    # The references pull in scipy.optimize, which no solver needs.
+    code = "import sys, depotcharge; print(sorted({'depotcharge.oracle', 'scipy.optimize'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(depotcharge.__file__).resolve().parents[1])},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
