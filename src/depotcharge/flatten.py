@@ -43,7 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .flow import JobIntervalNetwork, _repair_delivery, _snap, max_flow, residual_reachable
+from .flow import (
+    JobIntervalNetwork, _repair_delivery, _snap, block_level, max_flow, residual_reachable,
+)
 from .model import BaseloadSeries, Instance, Schedule
 
 #: Largest scaled magnitude handed to the 32-bit max-flow kernel.
@@ -213,23 +215,10 @@ def _peel_targets(
         job_block[remaining <= 0] = -1
         if np.all(job_block < 0):
             return target_int
-        # Block-major, in index order within a block; labels of -1 sort first.
-        jobs = np.argsort(job_block, kind="stable")[np.count_nonzero(job_block < 0) :]
-        ints = np.argsort(int_block, kind="stable")[np.count_nonzero(int_block < 0) :]
-        # Numbered block after block among the intervals its jobs reach,
-        # every window is a range.  Blocks share no node but the source
-        # and the sink, so one network holds the level and one max flow
-        # decides every block.
-        first = job_block[jobs] * m + arrivals[jobs]
-        last = job_block[jobs] * m + departures[jobs]
-        keys = int_block[ints] * m + ints
-        ends = [np.bincount(np.searchsorted(keys, end), minlength=len(ints) + 1) for end in (first, last)]
-        reached = np.cumsum(ends[0] - ends[1])[:-1] > 0
-        int_block[ints[~reached]] = -1
-        ints, keys = ints[reached], keys[reached]
-        network = JobIntervalNetwork(np.searchsorted(keys, first), np.searchsorted(keys, last), len(ints))
-        labels, job_start, job_pos = np.unique(job_block[jobs], return_index=True, return_inverse=True)
-        int_pos = np.searchsorted(labels, int_block[ints])
+        # One network holds the level, so one max flow decides every block.
+        network, jobs, ints, labels, job_start, job_pos, int_pos = block_level(
+            arrivals, departures, job_block, int_block
+        )
         checking = checks[labels]
         volume = np.add.reduceat(remaining[jobs], job_start)
         capacities = network.capacities(remaining[jobs], l_int[jobs], np.zeros(len(ints), dtype=np.int64))

@@ -14,10 +14,12 @@ each sink arc capped by the aggregate cap (or an amount that never
 binds, when the instance has no caps) and paying the interval's emission
 factor per unit.  The loads the intervals can take form a polymatroid
 whose rank is a max flow, so capped instances are solved by Edmonds'
-greedy over bisected max-flow ranks (at most m + 1 max flows), and
-every such solve is checked by the optimality certificate
-(:func:`verify_optimality`);
-without caps the problem separates per job and is filled greedily.
+greedy.  Its rank increments come from a divide and conquer over the
+cost ranks whose every level is one network of disjoint blocks
+(:func:`block_level`, which flattening shares), at most 2 + ceil(log2 m)
+max flows in all, and every such solve is checked by the optimality
+certificate (:func:`verify_optimality`); without caps the problem
+separates per job and is filled greedily.
 
 Quantities are scaled to integers before solving: energies at watt-hour
 resolution, emission factors at 1e-6 kg/kWh resolution.  The solver is
@@ -116,6 +118,7 @@ class JobIntervalNetwork:
 
     Attributes:
         job_count, interval_count: n and m.
+        starts, stops: First and one-past-last window interval per job.
         widths: Number of window intervals per job.
         arc_job, arc_interval: Job and interval of each job arc.
         tails, heads: Node endpoints of every arc.
@@ -127,6 +130,8 @@ class JobIntervalNetwork:
         n, m, w = len(starts), interval_count, int(widths.sum())
         self.job_count = n
         self.interval_count = m
+        self.starts = starts
+        self.stops = starts + widths
         self.widths = widths
         self.arc_job = np.repeat(np.arange(n), widths)
         self.arc_interval = np.arange(w) + np.repeat(starts - (np.cumsum(widths) - widths), widths)
@@ -223,6 +228,39 @@ class JobIntervalNetwork:
         return np.split(arc_values[self.job_arcs()], np.cumsum(self.widths)[:-1])
 
 
+def block_level(starts, stops, job_block: np.ndarray, int_block: np.ndarray) -> tuple:
+    """One level of a divide and conquer as disjoint blocks of one network.
+
+    ``job_block`` and ``int_block`` give the block label of every job
+    and interval, or -1 once it is done; ``starts``/``stops`` are the
+    job windows.  Live jobs and intervals are taken block-major, in
+    index order within a block.  Numbered block after block among the
+    intervals its jobs reach, every window is a range, so one network
+    holds the level, and blocks share no node but the source and the
+    sink.  Intervals no job of their block reaches are done: their
+    labels are set to -1 in place.
+
+    Returns ``(network, jobs, ints, labels, job_start, job_pos,
+    int_pos)``: the network, the job and interval index of each of its
+    nodes, the sorted live labels, where each block's jobs begin, and
+    each job's and interval's position in ``labels``.
+    """
+    m = len(int_block)
+    # Labels of -1 sort first.
+    jobs = np.argsort(job_block, kind="stable")[np.count_nonzero(job_block < 0) :]
+    ints = np.argsort(int_block, kind="stable")[np.count_nonzero(int_block < 0) :]
+    first = job_block[jobs] * m + starts[jobs]
+    last = job_block[jobs] * m + stops[jobs]
+    keys = int_block[ints] * m + ints
+    ends = [np.bincount(np.searchsorted(keys, end), minlength=len(ints) + 1) for end in (first, last)]
+    reached = np.cumsum(ends[0] - ends[1])[:-1] > 0
+    int_block[ints[~reached]] = -1
+    ints, keys = ints[reached], keys[reached]
+    network = JobIntervalNetwork(np.searchsorted(keys, first), np.searchsorted(keys, last), len(ints))
+    labels, job_start, job_pos = np.unique(job_block[jobs], return_index=True, return_inverse=True)
+    return network, jobs, ints, labels, job_start, job_pos, np.searchsorted(labels, int_block[ints])
+
+
 def build_network(
     instance: Instance, emissions: EmissionSeries
 ) -> tuple[JobIntervalNetwork, np.ndarray, np.ndarray]:
@@ -258,56 +296,117 @@ def build_network(
 
 
 def _polymatroid_greedy(
-    network: JobIntervalNetwork, capacities: np.ndarray, costs: np.ndarray
+    network: JobIntervalNetwork, capacities: np.ndarray, costs: np.ndarray, job_ids: list[str]
 ) -> np.ndarray:
-    """Minimum-cost flow by Edmonds' greedy over max-flow ranks.
+    """Minimum-cost flow by Edmonds' greedy, split by cost-rank cuts.
 
     Costs sit on the sink arcs only.  The interval loads a flow can
     deliver form a polymatroid whose rank r(S) is the max flow with only
-    the sink arcs of S open, so a linear cost is minimised by opening the
-    sink arcs in stable order of cost and giving interval i exactly
-    y(i) = r(S_i) - r(S_{i-1}), its rank increment.  Increments lie
-    between 0 and the cap, so the ranks are bisected: a run of the order
-    whose rank gain is 0, or the sum of its caps, settles at once.  With
-    the final max flow, which extracts the flow with sink capacities y,
-    that is at most m + 1 max flows.  Returns the integer flow per
-    network arc; raises InfeasibleError when the supplies cannot all be
-    routed.
+    the sink arcs of S open, so a linear cost is minimised by ranking
+    the sink arcs in stable order of cost and giving each interval its
+    rank increment y(i) = r(S_i) - r(S_{i-1}), S_i being the i cheapest.
+
+    Every flow that delivers y is a max flow of each probe with the sink
+    arcs below a rank threshold open, so it saturates that probe's cut:
+    the cut's jobs fill every open interval outside it at full rate and
+    its open intervals to their caps, and the jobs outside it charge only
+    in open intervals outside it.  Blocks of a rank range [lo, hi) thus
+    split at theta = (lo + hi) // 2: cut jobs and intervals solve [theta,
+    hi), the rest [lo, theta), and closed intervals outside the cut are
+    done.  A block keeps its intervals ranked below lo open, and they end
+    full; a block of one rank gives its last interval the rest of its
+    energy.  The blocks of a level are one network
+    (:func:`block_level`), so a feasibility max flow, one per level and
+    the extraction with sink capacities y make at most 2 + ceil(log2 m)
+    max flows.  Returns the integer flow per network arc; raises
+    InfeasibleError, naming the jobs on the source side of the cut, when
+    the supplies cannot all be routed.
     """
     sink_arcs = network.sink_arcs()
+    supply = capacities[network.source_arcs()]
+    rate = np.zeros(network.job_count, dtype=np.int64)
+    rate[network.arc_job] = capacities[network.job_arcs()]
+    total = int(supply.sum())
     # A cap beyond the summed rates into its interval never binds;
     # clipping it keeps huge caps inside the kernel range.
     caps = np.minimum(capacities[sink_arcs], network.reach(capacities))
-    order = np.argsort(costs[sink_arcs], kind="stable")
-    ordered_caps = caps[order]
-    opened = np.concatenate([[0], np.cumsum(ordered_caps)])
     probe = capacities.copy()
-
-    def rank(k: int) -> int:
-        """r(S_k): the max flow with the k cheapest sink arcs open."""
-        probe[sink_arcs] = 0
-        probe[sink_arcs.start + order[:k]] = ordered_caps[:k]
-        return max_flow(network, probe)[0]
+    probe[sink_arcs] = caps
+    value, flows = max_flow(network, probe)
+    if value < total:
+        cut = residual_reachable(network, probe, flows)[network.job_nodes()]
+        names = ", ".join(repr(job_ids[k]) for k in np.flatnonzero(cut))
+        raise InfeasibleError(
+            f"aggregate caps leave no room for the remaining charging energy of jobs {names}"
+        )
 
     m = network.interval_count
-    ranks = {0: 0, m: rank(m)}
-    increments = np.zeros(m, dtype=np.int64)
-    runs = [(0, m)]
-    while runs:
-        a, b = runs.pop()
-        gain = ranks[b] - ranks[a]
-        if gain == opened[b] - opened[a]:
-            increments[a:b] = ordered_caps[a:b]
-        elif b - a == 1:
-            increments[a] = gain
-        elif gain:
-            mid = (a + b) // 2
-            ranks[mid] = rank(mid)
-            runs += [(mid, b), (a, mid)]
-    probe[sink_arcs.start + order] = increments
+    rank = np.empty(m, dtype=np.int64)
+    rank[np.argsort(costs[sink_arcs], kind="stable")] = np.arange(m)
+    remaining = supply.copy()
+    headroom = caps.copy()
+    targets = np.zeros(m, dtype=np.int64)
+    job_block = np.zeros(network.job_count, dtype=np.int64)
+    int_block = np.zeros(m, dtype=np.int64)
+    lo, hi = np.array([0]), np.array([m])
+    while True:
+        job_block[remaining <= 0] = -1
+        if np.all(job_block < 0):
+            break
+        level, jobs, ints, labels, job_start, job_pos, int_pos = block_level(
+            network.starts, network.stops, job_block, int_block
+        )
+        low, high = lo[labels], hi[labels]
+        mid = (low + high) // 2
+        leaf = high - low == 1
+        volume = np.add.reduceat(remaining[jobs], job_start)
+
+        # A block of one rank fills its intervals ranked below it and
+        # gives the interval of its rank the rest.
+        full = rank[ints] < low[int_pos]
+        last = rank[ints] == low[int_pos]
+        below = np.zeros(len(labels), dtype=np.int64)
+        np.add.at(below, int_pos[full], headroom[ints[full]])
+        room = np.zeros(len(labels), dtype=np.int64)
+        room[int_pos[last]] = headroom[ints[last]]
+        share = volume - below
+        wrong = np.flatnonzero(leaf & ((share < 0) | (share > room)))
+        if len(wrong):
+            b = wrong[0]
+            raise SolverError(f"a leaf share of {share[b]} lies outside [0, {room[b]}]")
+        settled = leaf[int_pos]
+        targets[ints[settled & full]] += headroom[ints[settled & full]]
+        targets[ints[settled & last]] += share[int_pos[settled & last]]
+
+        if leaf.all():
+            break
+
+        # The other blocks probe with their intervals ranked below theta
+        # open; leaves sit the max flow out with no supply, so none of
+        # their nodes is reachable.
+        opened = rank[ints] < mid[int_pos]
+        level_caps = level.capacities(
+            np.where(leaf[job_pos], 0, remaining[jobs]), rate[jobs], np.where(opened, headroom[ints], 0)
+        )
+        _, flows = max_flow(level, level_caps)
+        reachable = residual_reachable(level, level_caps, flows)
+        cut_job, cut_int = reachable[level.job_nodes()], reachable[level.interval_nodes()]
+        spill = cut_job[level.arc_job] & ~cut_int[level.arc_interval]
+        spill_jobs = jobs[level.arc_job[spill]]
+        spill_ints = ints[level.arc_interval[spill]]
+        np.subtract.at(remaining, spill_jobs, rate[spill_jobs])
+        np.add.at(targets, spill_ints, rate[spill_jobs])
+        np.subtract.at(headroom, spill_ints, rate[spill_jobs])
+        if np.any(headroom[spill_ints] < 0):
+            raise SolverError("the spill of a cut overfills an interval")
+        job_block[jobs] = np.where(leaf[job_pos], -1, 2 * job_pos + cut_job)
+        int_block[ints] = np.where(settled | ~(opened | cut_int), -1, 2 * int_pos + cut_int)
+        lo, hi = np.stack([low, mid], axis=1).ravel(), np.stack([mid, high], axis=1).ravel()
+
+    probe[sink_arcs] = targets
     value, flows = max_flow(network, probe)
-    if value < int(capacities[network.source_arcs()].sum()):
-        raise InfeasibleError("aggregate caps leave no room for the remaining charging energy")
+    if value < total:
+        raise SolverError(f"the greedy targets do not route: {value} of {total} grid units")
     return flows
 
 
@@ -473,7 +572,7 @@ def solve_min_co2(instance: Instance, emissions: EmissionSeries) -> Schedule:
         return _greedy_cheapest_fill(instance, emissions)
 
     network, capacities, costs = build_network(instance, emissions)
-    flows = _polymatroid_greedy(network, capacities, costs)
+    flows = _polymatroid_greedy(network, capacities, costs, [job.id for job in instance.jobs])
     certificate = verify_optimality(network, capacities, costs, flows)
     if not certificate.optimal:
         raise SolverError(

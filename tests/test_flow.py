@@ -1,5 +1,6 @@
 """Tests for the job/interval network and the minimum-emission solvers."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -203,7 +204,7 @@ class TestSolveMinCo2:
         # Everything through the dear interval: feasible, but beatable.
         monkeypatch.setattr(
             flow, "_polymatroid_greedy",
-            lambda network, capacities, costs: np.array([2000, 0, 2000, 0, 2000]),
+            lambda network, capacities, costs, job_ids: np.array([2000, 0, 2000, 0, 2000]),
         )
         with pytest.raises(SolverError):
             flow.solve_min_co2(instance, emissions)
@@ -224,7 +225,8 @@ class TestSolveMinCo2:
                 co2_total(flow.solve_min_co2(instance, emissions), emissions), abs=1e-9
             )
 
-    def test_capped_solve_takes_at_most_m_plus_one_max_flows(self, monkeypatch):
+    def test_capped_solve_takes_a_max_flow_per_level(self, monkeypatch):
+        # Feasibility, one per level of the rank halving, and the extraction.
         calls = []
         exact = flow.max_flow
         monkeypatch.setattr(flow, "max_flow", lambda *args: calls.append(args) or exact(*args))
@@ -233,11 +235,11 @@ class TestSolveMinCo2:
             instance = random_instance(rng, with_caps=True)
             calls.clear()
             flow.solve_min_co2(instance, emission_series(rng, instance.interval_count))
-            assert 0 < len(calls) <= instance.interval_count + 1
+            assert 0 < len(calls) <= 2 + math.ceil(math.log2(instance.interval_count))
 
-    def test_week_cap_bisects_the_ranks(self, monkeypatch):
-        # Runs of the cost order whose rank gain is 0 or all of their caps
-        # settle without a max flow each: m + 1 = 673 max flows without.
+    def test_week_cap_takes_twelve_max_flows(self, monkeypatch):
+        # 672 intervals halve in ten levels: 1 + 10 + 1 max flows, where
+        # one per prefix of the cost order would take m + 1 = 673.
         calls = []
         exact = flow.max_flow
         monkeypatch.setattr(flow, "max_flow", lambda *args: calls.append(args) or exact(*args))
@@ -246,7 +248,7 @@ class TestSolveMinCo2:
         instance = Instance(horizon, jobs, caps_kwh=np.full(horizon.interval_count, 150.0))
         schedule = flow.solve_min_co2(instance, sinusoid_emissions(horizon))
         validate_schedule(instance, schedule)
-        assert 0 < len(calls) <= 500
+        assert 0 < len(calls) <= 12
 
     def test_replicated_week_matches_reference_lp(self):
         # The seed-0 roster twice over (420 jobs) under a 300 kWh cap per
@@ -269,8 +271,85 @@ class TestSolveMinCo2:
             Job(id="b", arrival=0, departure=1, energy_kwh=6.0, max_rate_kwh=6.0),
         )
         instance = Instance(horizon, jobs, caps_kwh=np.array([10.0]))
-        with pytest.raises(InfeasibleError):
+        # The residual cut of the feasibility max flow names the jobs.
+        with pytest.raises(InfeasibleError, match="of jobs 'a', 'b'$"):
             flow.solve_min_co2(instance, flow.EmissionSeries(np.array([0.2])))
+
+    def test_infeasible_caps_name_only_the_overloaded_jobs(self):
+        horizon = make_horizon(2)
+        jobs = (
+            Job(id="a", arrival=0, departure=1, energy_kwh=6.0, max_rate_kwh=6.0),
+            Job(id="b", arrival=0, departure=1, energy_kwh=6.0, max_rate_kwh=6.0),
+            Job(id="c", arrival=1, departure=2, energy_kwh=2.0, max_rate_kwh=2.0),
+        )
+        instance = Instance(horizon, jobs, caps_kwh=np.array([10.0, 5.0]))
+        with pytest.raises(InfeasibleError, match="of jobs 'a', 'b'$"):
+            flow.solve_min_co2(instance, flow.EmissionSeries(np.array([0.2, 0.1])))
+
+
+def prefix_rank_greedy(network, capacities, costs):
+    """Edmonds' greedy with one max flow per prefix of the cost order.
+
+    The plain form of the greedy, m + 1 max flows in all: interval i
+    takes r(S_i) - r(S_{i-1}), with S_i its i cheapest intervals open.
+    """
+    sink = network.sink_arcs()
+    caps = np.minimum(capacities[sink], network.reach(capacities))
+    probe = capacities.copy()
+    probe[sink] = 0
+    increments = np.zeros(network.interval_count, dtype=np.int64)
+    ranked = 0
+    for i in np.argsort(costs[sink], kind="stable"):
+        probe[sink.start + i] = caps[i]
+        rank = flow.max_flow(network, probe)[0]
+        increments[i], ranked = rank - ranked, rank
+    probe[sink] = increments
+    value, flows = flow.max_flow(network, probe)
+    if value < capacities[network.source_arcs()].sum():
+        raise InfeasibleError("the prefix ranks leave supply unrouted")
+    return flows
+
+
+def greedy_matches_prefix_ranks(instance: Instance, emissions: flow.EmissionSeries) -> bool:
+    """Both greedies return the same flow (True) or both refuse (False)."""
+    network, capacities, costs = flow.build_network(instance, emissions)
+    try:
+        expected = prefix_rank_greedy(network, capacities, costs)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            flow._polymatroid_greedy(network, capacities, costs, [job.id for job in instance.jobs])
+        return False
+    flows = flow._polymatroid_greedy(network, capacities, costs, [job.id for job in instance.jobs])
+    assert np.array_equal(flows, expected)
+    return True
+
+
+class TestGreedyAgainstPrefixRanks:
+    def test_random_capped_instances(self):
+        # Half the instances draw their factors from 3-4 values, so the
+        # stable order breaks ties; every third shrinks its caps to
+        # 0.3-0.9x, which leaves some of them infeasible.
+        rng = np.random.default_rng(47)
+        outcomes = []
+        for trial in range(200):
+            instance = random_instance(rng, max_jobs=8, max_intervals=16, with_caps=True)
+            m = instance.interval_count
+            if trial % 2:
+                factors = rng.choice(random_emissions(rng, int(rng.integers(3, 5))), size=m)
+            else:
+                factors = random_emissions(rng, m)
+            if trial % 3 == 0:
+                shrunk = np.round(instance.caps_kwh * rng.uniform(0.3, 0.9), 3)
+                instance = Instance(instance.horizon, instance.jobs, caps_kwh=shrunk)
+            outcomes.append(greedy_matches_prefix_ranks(instance, flow.EmissionSeries(factors)))
+        assert any(outcomes) and not all(outcomes)
+
+    def test_replicated_week(self):
+        horizon = week_horizon()
+        roster = to_jobs(match_week(synth_timetable(seed=0).lines, horizon), horizon)
+        jobs = tuple(replace(job, id=f"{job.id}/{copy}") for copy in range(2) for job in roster)
+        instance = Instance(horizon, jobs, caps_kwh=np.full(horizon.interval_count, 300.0))
+        assert greedy_matches_prefix_ranks(instance, sinusoid_emissions(horizon))
 
 
 class TestVerifyOptimality:
@@ -287,7 +366,8 @@ class TestVerifyOptimality:
             instance = random_instance(rng, with_caps=True)
             emissions = emission_series(rng, instance.interval_count)
             network, capacities, costs = flow.build_network(instance, emissions)
-            flows = flow._polymatroid_greedy(network, capacities, costs)
+            ids = [job.id for job in instance.jobs]
+            flows = flow._polymatroid_greedy(network, capacities, costs, ids)
             certificate = flow.verify_optimality(network, capacities, costs, flows)
             assert certificate.optimal
             assert certificate.witness_cycle == ()

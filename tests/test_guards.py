@@ -139,10 +139,68 @@ def test_completed_square_drift():
 
 def test_short_extraction():
     run_optimized("""
-        # Every max flow comes back empty, so the extraction routes nothing.
+        # Every max flow comes back empty, so the feasibility probe routes nothing.
         flow.max_flow = lambda network, capacities: (0, np.zeros(network.arc_count, dtype=np.int64))
 
         def fault():
             capped = Instance(horizon, instance.jobs, caps_kwh=np.full(4, 10.0))
             flow.solve_min_co2(capped, EmissionSeries(np.array([0.3, 0.1, 0.2, 0.4])))
     """, "no room", error="InfeasibleError")
+
+
+# Indented like the bodies it ends, so that they dedent together.
+CAPPED = """
+        capped = Instance(horizon, instance.jobs, caps_kwh=np.full(4, 3.0))
+
+        def fault():
+            flow.solve_min_co2(capped, EmissionSeries(np.array([0.3, 0.1, 0.2, 0.4])))
+"""
+
+
+def test_greedy_cuts_that_take_in_nothing():
+    run_optimized("""
+        # No cut: every job stays with the cheaper half until a leaf of one
+        # interval is left with all of the energy.
+        flow.residual_reachable = lambda network, capacities, flows: np.zeros(
+            network.node_count, dtype=bool
+        )
+    """ + CAPPED, "a leaf share of 7000 lies outside [0, 3000]")
+
+
+def test_greedy_cuts_that_take_in_everything():
+    run_optimized("""
+        # Every cut takes in everything, so the last leaf owes its full
+        # intervals more than its jobs have left.
+        flow.residual_reachable = lambda network, capacities, flows: np.ones(
+            network.node_count, dtype=bool
+        )
+    """ + CAPPED, "a leaf share of -1000")
+
+
+def test_greedy_spill_past_a_cap():
+    run_optimized("""
+        # Cuts of jobs alone: both jobs spill their full rate into both
+        # open intervals, 4 kWh into each 3 kWh cap.
+        def jobs_only(network, capacities, flows):
+            mask = np.zeros(network.node_count, dtype=bool)
+            mask[network.job_nodes()] = True
+            return mask
+
+        flow.residual_reachable = jobs_only
+    """ + CAPPED, "overfills")
+
+
+def test_greedy_targets_that_do_not_route():
+    run_optimized("""
+        # The extraction, the second max flow on the whole network, comes back empty.
+        exact = flow.max_flow
+        networks = []
+
+        def short_extraction(network, capacities):
+            networks.append(network)
+            if networks.count(networks[0]) == 2:
+                return 0, np.zeros(network.arc_count, dtype=np.int64)
+            return exact(network, capacities)
+
+        flow.max_flow = short_extraction
+    """ + CAPPED, "targets do not route")
