@@ -77,6 +77,13 @@ class FlexibilityConfig:
     charge_rate_kw: float = matching.DEFAULT_CHARGE_RATE_KW
 
 
+#: JSON types a config value may take, by the annotation of its field.
+_JSON_TYPES = {
+    "int": int, "float": (int, float), "bool": bool, "str": str, "tuple[str, ...]": list,
+    "str | None": (str, type(None)), "float | None": (int, float, type(None)),
+}
+
+
 @dataclass(frozen=True)
 class FlexibilityResult:
     baseload_peak_kw: float
@@ -320,6 +327,16 @@ def _config_from(
         unknown = set(loaded) - known
         if unknown:
             raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
+        types = {f.name: f.type for f in fields(cls)}
+        for key, value in loaded.items():
+            # A flatness weight may be a string, as with --wf ("inf").
+            allowed = (int, float, str) if key == "flatness_weight" else _JSON_TYPES[types[key]]
+            if (
+                not isinstance(value, allowed)
+                or isinstance(value, bool) != (types[key] == "bool")
+                or isinstance(value, list) and not all(isinstance(v, str) for v in value)
+            ):
+                raise ValueError(f"{path}: config key {key!r} takes {types[key]}, not {value!r}")
         values.update(loaded)
     values.update({k: v for k, v in overrides.items() if v is not None})
     if "scenarios" in values:

@@ -30,10 +30,10 @@ The blocks of a level share no job and no interval, so one
 :class:`~depotcharge.flow.JobIntervalNetwork` holds the whole level as
 disjoint blocks: one max flow decides every probe and every group check,
 a second one takes the probes one step lower, and one residual search
-reads every block's cut.  A final max flow against the integer
-per-interval targets, on the network of the whole instance, extracts one
-feasible allocation.  The aggregate profile is unique even though the
-per-job decomposition is not.
+reads every block's cut.  All of it runs on the instance's integer grid
+(:func:`~depotcharge.flow.grid`), where a final max flow against the
+per-interval targets extracts one feasible allocation.  The aggregate
+profile is unique even though the per-job decomposition is not.
 """
 
 from __future__ import annotations
@@ -44,15 +44,9 @@ import numpy as np
 
 from .errors import SolverError
 from .flow import (
-    JobIntervalNetwork, _repair_delivery, _snap, block_level, max_flow, residual_reachable,
+    JobIntervalNetwork, _repair_delivery, block_level, grid, max_flow, residual_reachable,
 )
 from .model import BaseloadSeries, Instance, Schedule
-
-#: Largest scaled magnitude handed to the 32-bit max-flow kernel.
-_KERNEL_BUDGET = 2_000_000_000
-
-#: Largest scaled sum of levels over the horizon, well inside int64.
-_LEVEL_SUM_BUDGET = 2**62
 
 
 @dataclass(frozen=True)
@@ -106,35 +100,19 @@ def solve_flatten(problem: FlattenProblem) -> Schedule:
     base_f = problem.baseload_kwh()
     rates = np.array([job.max_rate_kwh for job in jobs])
     energies = np.array([job.energy_kwh for job in jobs])
-    scale = _pick_scale(instance, base_f, rates, energies)
+    network, scale, e_int, l_int, _ = grid(instance, float(np.abs(base_f).sum()))
+    target_int = _peel_targets(network, energies, rates, e_int, l_int, base_f, scale)
 
-    l_int = np.rint(rates * scale).astype(np.int64)
-    # An off-grid rate can round below energy / width; a job then keeps
-    # what its window takes on the grid, and the repair restores the rest.
-    widths = np.array([job.departure - job.arrival for job in jobs])
-    e_int = np.minimum(np.rint(energies * scale).astype(np.int64), l_int * widths)
-
-    target_int = _peel_targets(instance, energies, rates, e_int, l_int, base_f, scale)
-    allocations = _extract(instance, rates, e_int, scale, target_int, base_f)
+    # One feasible allocation realizing the targets, on the same grid.
+    value, flows = max_flow(network, network.capacities(e_int, l_int, target_int))
+    if value < e_int.sum():
+        raise SolverError(f"the flattened targets route {value} of {e_int.sum()} grid units")
+    windows = network.job_windows(flows / scale)
+    allocations = {job.id: values for job, values in zip(jobs, windows)}
+    # Residuals go to the lowest current totals first.
+    totals = base_f.copy()
+    _repair_delivery(instance, allocations, totals, totals)
     return Schedule.build(instance, allocations)
-
-
-def _pick_scale(
-    instance: Instance, base_f: np.ndarray, rates: np.ndarray, energies: np.ndarray
-) -> int:
-    # Sink capacities never exceed the worst concurrent rate pile-up (each
-    # probe clips them to it), and source arcs never exceed the largest job
-    # energy.  The baseload only shifts the levels, which never reach the
-    # kernel; the level search sums them over the horizon in int64.
-    concurrent = np.zeros(instance.interval_count)
-    for job, rate in zip(instance.jobs, rates):
-        concurrent[job.arrival : job.departure] += rate
-    top = max(float(concurrent.max()), float(energies.max()), 1.0)
-    bed = float(np.abs(base_f).sum() + concurrent.sum())
-    scale = 1
-    while top * (scale * 10) <= _KERNEL_BUDGET and bed * (scale * 10) <= _LEVEL_SUM_BUDGET:
-        scale *= 10
-    return scale
 
 
 def _min_int_level(basins: np.ndarray, volume: int) -> int:
@@ -188,7 +166,7 @@ def _apportion(raw: np.ndarray, total: int) -> np.ndarray:
 
 
 def _peel_targets(
-    instance: Instance,
+    whole: JobIntervalNetwork,
     energies: np.ndarray,
     rates: np.ndarray,
     e_int: np.ndarray,
@@ -196,18 +174,16 @@ def _peel_targets(
     base_f: np.ndarray,
     scale: int,
 ) -> np.ndarray:
-    """Per-interval integer charge targets realizing the water-fill optimum."""
-    m = instance.interval_count
-    arrivals = np.array([job.arrival for job in instance.jobs])
-    departures = np.array([job.departure for job in instance.jobs])
-    spilled = np.zeros(len(instance.jobs), dtype=np.int64)
+    """Per-interval integer charge targets realizing the water-fill optimum on ``whole``."""
+    m = whole.interval_count
+    spilled = np.zeros(whole.job_count, dtype=np.int64)
     b_eff_f = base_f.copy()
     b_eff_i = np.rint(base_f * scale).astype(np.int64)
     target_int = np.zeros(m, dtype=np.int64)
     shares = np.zeros(m, dtype=np.int64)
     # Each live job and interval carries its block's label; checks[label]
     # marks a group whose shares must route, the rest probe a level.
-    job_block = np.zeros(len(instance.jobs), dtype=np.int64)
+    job_block = np.zeros(whole.job_count, dtype=np.int64)
     int_block = np.zeros(m, dtype=np.int64)
     checks = np.zeros(1, dtype=bool)
     while True:
@@ -217,7 +193,7 @@ def _peel_targets(
             return target_int
         # One network holds the level, so one max flow decides every block.
         network, jobs, ints, labels, job_start, job_pos, int_pos = block_level(
-            arrivals, departures, job_block, int_block
+            whole.starts, whole.stops, job_block, int_block
         )
         checking = checks[labels]
         volume = np.add.reduceat(remaining[jobs], job_start)
@@ -288,27 +264,4 @@ def _peel_targets(
         job_block[jobs] = np.where(done[job_pos], -1, 2 * job_pos + cut_job)
         int_block[ints] = np.where(done[int_pos], -1, 2 * int_pos + cut_int)
         checks = np.repeat(top, 2) & np.tile([False, True], len(labels))
-
-
-def _extract(
-    instance: Instance,
-    rates: np.ndarray,
-    e_int: np.ndarray,
-    scale: int,
-    target_int: np.ndarray,
-    base_f: np.ndarray,
-) -> dict[str, np.ndarray]:
-    """Decompose per-interval targets into one feasible allocation."""
-    network = JobIntervalNetwork.from_instance(instance)
-    capacities = network.capacities(e_int, _snap(rates * scale, np.ceil), target_int)
-    total = int(e_int.sum())
-    value, flows = max_flow(network, capacities)
-    if value < total:
-        raise SolverError(f"the flattened targets route {value} of {total} grid units")
-
-    windows = network.job_windows(flows / scale)
-    allocations = {job.id: values for job, values in zip(instance.jobs, windows)}
-    # Residuals go to the lowest current totals first.
-    totals = base_f.copy()
-    _repair_delivery(instance, allocations, totals, totals)
-    return allocations
+        del network  # held while block_level builds the next level, it set the memory peak

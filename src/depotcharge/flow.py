@@ -21,12 +21,14 @@ max flows in all, and every such solve is checked by the optimality
 certificate (:func:`verify_optimality`); without caps the problem
 separates per job and is filled greedily.
 
-Quantities are scaled to integers before solving: energies at watt-hour
-resolution, emission factors at 1e-6 kg/kWh resolution.  The solver is
-exact for inputs on those grids, which covers everything this package
-generates or loads; off-grid inputs are repaired back to exact delivery
-after extraction, a sub-watt-hour adjustment covered by the validator
-tolerance.
+Every max-flow solve, flattening's included, runs on one integer grid
+chosen by :func:`grid`: the largest power of ten of units per kWh that
+keeps the kernel's capacities and flattening's level sums in range.
+Rates and caps snap to the grid or are floored, energies round to
+nearest within what the floored rates can deliver, and emission factors
+sit at 1e-6 kg/kWh resolution.  The solvers are exact for inputs on the
+grid; off-grid inputs are repaired back to exact delivery after
+extraction, a sub-unit adjustment covered by the validator tolerance.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .errors import InfeasibleError, ScalingOverflowError, SolverError
-from .model import FeasibilityReport, Instance, Schedule
+from .model import Instance, Schedule
 
 #: Largest scaled magnitude representable exactly on the float path.
 _INT_LIMIT = 2**53
@@ -70,8 +72,11 @@ class EmissionSeries:
         return len(self.kg_per_kwh)
 
 
-#: Integer units per kWh: energies and rates at watt-hour resolution.
-_ENERGY_SCALE = 1000
+#: Largest scaled magnitude handed to the 32-bit max-flow kernel.
+_KERNEL_BUDGET = 2_000_000_000
+
+#: Largest scaled sum of levels over the horizon, well inside int64.
+_LEVEL_SUM_BUDGET = 2**62
 
 #: Integer units per kg/kWh for emission factors.
 _COST_SCALE = 1_000_000
@@ -95,14 +100,6 @@ def _snap(values: np.ndarray, rounding) -> np.ndarray:
     nearest = np.rint(values)
     on_grid = np.abs(values - nearest) <= 1e-6 * np.maximum(1.0, np.abs(values))
     return np.where(on_grid, nearest, rounding(values)).astype(np.int64)
-
-
-def _scaled_caps(instance: Instance, factor: int) -> np.ndarray:
-    # Caps snap to the grid when they sit on it up to float noise and are
-    # floored otherwise, so the scaled problem never allocates above the
-    # true cap by more than noise.
-    caps = instance.caps_kwh
-    return _snap(_scaled(caps, factor, "cap at interval", range(len(caps))), np.floor)
 
 
 class JobIntervalNetwork:
@@ -261,38 +258,75 @@ def block_level(starts, stops, job_block: np.ndarray, int_block: np.ndarray) -> 
     return network, jobs, ints, labels, job_start, job_pos, np.searchsorted(labels, int_block[ints])
 
 
+def _grid_scale(top: float, bed: float) -> int:
+    """Largest power of ten keeping ``top`` in the kernel and ``bed`` in the level sums."""
+    if top > _KERNEL_BUDGET:
+        raise ScalingOverflowError(
+            f"a rate pile-up or energy of {top} kWh exceeds the 32-bit kernel range at scale 1"
+        )
+    scale = 1
+    while top * (scale * 10) <= _KERNEL_BUDGET and bed * (scale * 10) <= _LEVEL_SUM_BUDGET:
+        scale *= 10
+    return scale
+
+
+def grid(
+    instance: Instance, bed: float = 0.0
+) -> tuple[JobIntervalNetwork, int, np.ndarray, np.ndarray, np.ndarray]:
+    """The network of an instance on its integer grid: (network, scale, supply, rate, sink).
+
+    ``scale`` units per kWh, the largest power of ten that keeps the
+    largest energy and rate pile-up inside the 32-bit kernel and the
+    pile-up plus ``bed`` (flattening's summed absolute baseload) inside
+    int64 level sums.  Rates and caps (clipped first to the pile-up, the
+    sink without caps) snap to the grid or are floored off it, so no
+    scaled schedule exceeds them.  Energies round to nearest within the
+    floored rate times the window width; :func:`_repair_delivery`
+    restores the sub-unit rest.
+    """
+    network = JobIntervalNetwork.from_instance(instance)
+    energies = np.array([job.energy_kwh for job in instance.jobs], dtype=float)
+    rates = np.array([job.max_rate_kwh for job in instance.jobs], dtype=float)
+    pile = np.bincount(
+        network.arc_interval, weights=rates[network.arc_job], minlength=network.interval_count
+    )
+    top = max(float(pile.max()), float(energies.max(initial=0.0)), 1.0)
+    scale = _grid_scale(top, bed + float(pile.sum()))
+    caps = pile if instance.caps_kwh is None else np.minimum(instance.caps_kwh, pile)
+    rate = _snap(rates * scale, np.floor)
+    supply = np.minimum(np.rint(energies * scale).astype(np.int64), rate * network.widths)
+    return network, scale, supply, rate, _snap(caps * scale, np.floor)
+
+
 def build_network(
     instance: Instance, emissions: EmissionSeries
-) -> tuple[JobIntervalNetwork, np.ndarray, np.ndarray]:
-    """The min-cost flow problem of an instance: (network, capacities, costs).
+) -> tuple[JobIntervalNetwork, int, np.ndarray, np.ndarray]:
+    """The min-cost flow problem of an instance: (network, scale, capacities, costs).
 
-    Capacities and costs are scaled integers in arc order.  Source arcs
-    carry the job energies, job arcs the rate bounds, and sink arcs the
-    caps at the interval's emission factor per unit.  When the instance
-    carries no aggregate caps, every sink arc gets the summed rate bound
-    of all jobs, which no feasible flow can exceed.
+    Integer capacities on the instance's :func:`grid` and integer costs,
+    in arc order: source arcs carry the energies, job arcs the rates, and
+    sink arcs the caps at the interval's emission factor per unit.
     """
     m = instance.interval_count
     if len(emissions) != m:
         raise ValueError(f"emission series has {len(emissions)} entries, horizon needs {m}")
-    jobs = instance.jobs
-    ids = [job.id for job in jobs]
-    energy = np.rint(
-        _scaled([job.energy_kwh for job in jobs], _ENERGY_SCALE, "energy of job", ids)
-    ).astype(np.int64)
-    rate = np.rint(
-        _scaled([job.max_rate_kwh for job in jobs], _ENERGY_SCALE, "rate of job", ids)
-    ).astype(np.int64)
-    if instance.caps_kwh is None:
-        sink = np.full(m, rate.sum())
-    else:
-        sink = _scaled_caps(instance, _ENERGY_SCALE)
-    network = JobIntervalNetwork.from_instance(instance)
+    network, scale, supply, rate, sink = grid(instance)
     costs = np.zeros(network.arc_count, dtype=np.int64)
     costs[network.sink_arcs()] = np.rint(
         _scaled(emissions.kg_per_kwh, _COST_SCALE, "emission factor at", range(m))
     )
-    return network, network.capacities(energy, rate, sink), costs
+    return network, scale, network.capacities(supply, rate, sink), costs
+
+
+def violating_jobs(network: JobIntervalNetwork, capacities: np.ndarray) -> np.ndarray:
+    """Jobs on the source side of the residual cut, none when all supplies route.
+
+    Their combined demand exceeds the capacity reachable from their windows.
+    """
+    value, flows = max_flow(network, capacities)
+    if value >= capacities[network.source_arcs()].sum():
+        return np.zeros(0, dtype=np.int64)
+    return np.flatnonzero(residual_reachable(network, capacities, flows)[network.job_nodes()])
 
 
 def _polymatroid_greedy(
@@ -332,10 +366,9 @@ def _polymatroid_greedy(
     caps = np.minimum(capacities[sink_arcs], network.reach(capacities))
     probe = capacities.copy()
     probe[sink_arcs] = caps
-    value, flows = max_flow(network, probe)
-    if value < total:
-        cut = residual_reachable(network, probe, flows)[network.job_nodes()]
-        names = ", ".join(repr(job_ids[k]) for k in np.flatnonzero(cut))
+    cut = violating_jobs(network, probe)
+    if len(cut):
+        names = ", ".join(repr(job_ids[k]) for k in cut)
         raise InfeasibleError(
             f"aggregate caps leave no room for the remaining charging energy of jobs {names}"
         )
@@ -571,7 +604,7 @@ def solve_min_co2(instance: Instance, emissions: EmissionSeries) -> Schedule:
     if instance.caps_kwh is None:
         return _greedy_cheapest_fill(instance, emissions)
 
-    network, capacities, costs = build_network(instance, emissions)
+    network, scale, capacities, costs = build_network(instance, emissions)
     flows = _polymatroid_greedy(network, capacities, costs, [job.id for job in instance.jobs])
     certificate = verify_optimality(network, capacities, costs, flows)
     if not certificate.optimal:
@@ -579,7 +612,7 @@ def solve_min_co2(instance: Instance, emissions: EmissionSeries) -> Schedule:
             f"min-cost flow is not optimal: residual cycle {certificate.witness_cycle} "
             "has negative cost"
         )
-    windows = network.job_windows(flows / _ENERGY_SCALE)
+    windows = network.job_windows(flows / scale)
     allocations = {job.id: values for job, values in zip(instance.jobs, windows)}
     _repair_delivery(instance, allocations, emissions.kg_per_kwh, np.zeros(instance.interval_count))
     return Schedule.build(instance, allocations)
@@ -588,8 +621,8 @@ def solve_min_co2(instance: Instance, emissions: EmissionSeries) -> Schedule:
 def max_flow(network: JobIntervalNetwork, capacities: np.ndarray) -> tuple[int, np.ndarray]:
     """Integer max flow from source to sink; returns (value, flow per arc).
 
-    Capacities are given in arc order and must fit in 32 bits (the caller
-    picks the scaling accordingly).  A call only rewrites the data of the
+    Capacities are given in arc order and must fit in 32 bits (:func:`grid`
+    picks the scale accordingly).  A call only rewrites the data of the
     network's matrix and reads the arc flows back by precomputed index.
     """
     capacities = np.asarray(capacities)
@@ -616,34 +649,3 @@ def residual_reachable(
     mask = np.zeros(network.node_count, dtype=bool)
     mask[visited] = True
     return mask
-
-
-def feasibility_cut(instance: Instance) -> FeasibilityReport:
-    """Max-flow saturation test for instances with aggregate caps.
-
-    Feasible exactly when the flow saturates every job's supply arc (at
-    watt-hour resolution).  When it does not, the jobs reachable from the
-    source in the residual graph form a violating set: their combined
-    demand exceeds the capacity reachable from their windows.
-    """
-    energies = np.array([job.energy_kwh for job in instance.jobs], dtype=float)
-    rates = np.array([job.max_rate_kwh for job in instance.jobs], dtype=float)
-    largest = max(
-        float(np.max(instance.caps_kwh)), energies.max(initial=0.0), rates.max(initial=0.0)
-    )
-    scale = _ENERGY_SCALE
-    while scale > 1 and largest * scale > _INT32_LIMIT:
-        scale //= 10
-    if largest * scale > _INT32_LIMIT:
-        raise ScalingOverflowError("instance magnitudes exceed the feasibility kernel range")
-
-    network = JobIntervalNetwork.from_instance(instance)
-    supply = np.rint(energies * scale).astype(np.int64)
-    # Same snap-or-floor cap rounding as the cost network, so the two agree.
-    capacities = network.capacities(supply, np.rint(rates * scale), _scaled_caps(instance, scale))
-    value, flows = max_flow(network, capacities)
-    if value >= supply.sum():
-        return FeasibilityReport(feasible=True)
-    reachable = residual_reachable(network, capacities, flows)[network.job_nodes()]
-    violating = frozenset(job.id for job, cut in zip(instance.jobs, reachable) if cut)
-    return FeasibilityReport(feasible=False, violating_jobs=violating)

@@ -343,12 +343,16 @@ def check_feasible(instance: Instance) -> FeasibilityReport:
 
     Without aggregate caps every instance is feasible, because job
     construction already rejects windows too small for their energy.
-    With caps the question is decided by a max-flow saturation test on
-    the job/interval network; an infeasible verdict comes with a set of
-    jobs forming a violating cut.
+    With caps the question is decided by the capped solver's saturation
+    test, a max flow on the job/interval network's integer grid; an
+    infeasible verdict comes with a set of jobs forming a violating cut.
     """
     if instance.caps_kwh is None:
         return FeasibilityReport(feasible=True)
     from . import flow  # deferred: flow depends on this module
 
-    return flow.feasibility_cut(instance)
+    network, _, supply, rate, sink = flow.grid(instance)
+    cut = flow.violating_jobs(network, network.capacities(supply, rate, sink))
+    return FeasibilityReport(
+        feasible=not len(cut), violating_jobs=frozenset(instance.jobs[k].id for k in cut)
+    )

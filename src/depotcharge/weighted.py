@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .flatten import FlattenProblem, solve_flatten
+from .flatten import FlattenProblem, levels, solve_flatten
 from .flow import EmissionSeries, solve_min_co2
 from .model import BaseloadSeries, Instance, Schedule
 
@@ -82,7 +82,7 @@ def weighted_objective(
     if weights.is_pure_co2 or weights.is_pure_flatten:
         raise ValueError("the combined objective needs finite positive weights")
     co2_total = float(np.dot(schedule.aggregate_kwh, emissions.kg_per_kwh))
-    totals = schedule.aggregate_kwh + _baseload_array(real_baseload, schedule.interval_count)
+    totals = levels(schedule, real_baseload)
     return weights.co2_weight * co2_total + weights.flatness_weight * float(
         np.dot(totals, totals)
     )
@@ -109,7 +109,7 @@ def solve_weighted(
         return solve_flatten(FlattenProblem(instance, real_baseload))
 
     beta = emission_baseload(emissions, weights)
-    base = _baseload_array(real_baseload, instance.interval_count)
+    base = FlattenProblem(instance, real_baseload).baseload_kwh()
     combined = BaseloadSeries(base + beta.kwh)
     schedule = solve_flatten(FlattenProblem(instance, combined))
 
@@ -140,12 +140,3 @@ def sweep(
         weights = Weights(co2_weight=co2_weight, flatness_weight=flatness_weight)
         points.append((weights, solve_weighted(instance, emissions, real_baseload, weights)))
     return tuple(points)
-
-
-def _baseload_array(baseload: BaseloadSeries | None, interval_count: int) -> np.ndarray:
-    if baseload is None:
-        return np.zeros(interval_count)
-    values = np.asarray(baseload.kwh, dtype=float)
-    if len(values) != interval_count:
-        raise ValueError("baseload length does not match the horizon")
-    return values

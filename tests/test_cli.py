@@ -1,12 +1,13 @@
 """End-to-end tests for the command-line scenario runner."""
 
 import json
+import math
 from datetime import timedelta
 
 import pytest
 
 from depotcharge import data, metrics
-from depotcharge.cli import WeekConfig, main, run_week
+from depotcharge.cli import WeekConfig, _config_from, main, run_week
 from depotcharge.matching import BusType, LineRecord
 
 
@@ -137,6 +138,39 @@ class TestConfigFile:
         rc = main(["week", "--config", str(config), "--out-dir", str(tmp_path / "o")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("week", "sweep", "false"),
+            ("week", "scenarios", "co2"),
+            ("week", "scenarios", ["co2", 1]),
+            ("week", "seed", 1.5),
+            ("week", "seed", True),
+            ("week", "cap_kw", "600"),
+            ("week", "timetable", 3),
+            ("flexibility", "dummy_low_kw", "40"),
+            ("flexibility", "dummy_high_kw", False),
+        ],
+    )
+    def test_mistyped_values_are_rejected(self, tmp_path, capsys, command, key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        rc = main([command, "--config", str(config), "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"config key {key!r} takes" in capsys.readouterr().err
+
+    def test_typed_values_load(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "seed": 3, "scenarios": ["co2"], "sweep": False, "cap_kw": 600,
+            "co2_weight": 2, "flatness_weight": "inf", "timetable": None,
+        }))
+        loaded = _config_from(WeekConfig, str(config), {})
+        assert loaded == WeekConfig(
+            seed=3, scenarios=("co2",), sweep=False, cap_kw=600, co2_weight=2,
+            flatness_weight=math.inf,
+        )
 
 
 def tiny_timetable(path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depotcharge import flatten, synth
+from depotcharge import flatten, flow, synth
 from depotcharge.baseline import solve_uncontrolled
 from depotcharge.cli import OFFICE_BASELOAD_KW
 from depotcharge.flatten import FlattenProblem, levels, solve_flatten
@@ -30,10 +30,12 @@ def flatness(schedule, baseload=None) -> float:
 
 
 @st.composite
-def off_grid_instances(draw):
+def off_grid_instances(draw, coarse=False):
     """Small instances whose rates are k/3, k/7, k/9 or k/11 kWh per interval.
 
     A third of the jobs need their full rate in every window interval.
+    With ``coarse``, a 30,000 kWh job in one interval coarsens the grid
+    to 1e4 units per kWh.
     """
     m = draw(st.integers(2, 12))
     jobs = []
@@ -46,6 +48,9 @@ def off_grid_instances(draw):
             Job(id=f"job{k}", arrival=arrival, departure=departure,
                 energy_kwh=rate * (departure - arrival) * fill, max_rate_kwh=rate)
         )
+    if coarse:
+        i = draw(st.integers(0, m - 1))
+        jobs.append(Job(id="big", arrival=i, departure=i + 1, energy_kwh=3e4, max_rate_kwh=3e4))
     baseload = np.array(draw(st.lists(st.floats(0.0, 12.0), min_size=m, max_size=m)))
     return Instance(make_horizon(m), tuple(jobs)), baseload
 
@@ -274,7 +279,7 @@ class TestSolveFlatten:
         # Two instances on disjoint halves of one horizon share no job and
         # no interval, so solved together each half must come out as it
         # does alone.  One grid for all three solves rounds them alike.
-        monkeypatch.setattr(flatten, "_pick_scale", lambda *args: 10**6)
+        monkeypatch.setattr(flow, "_grid_scale", lambda top, bed: 10**6)
         rng = np.random.default_rng(101)
         for _ in range(20):
             left, right = random_instance(rng), random_instance(rng)
@@ -315,6 +320,16 @@ class TestSolveFlatten:
         schedule = solve_flatten(FlattenProblem(instance, BaseloadSeries(baseload)))
         validate_schedule(instance, schedule)
         assert_exchange_optimal(instance, schedule, baseload)
+
+    @settings(max_examples=100, deadline=None)
+    @given(off_grid_instances(coarse=True))
+    def test_off_grid_rates_hold_on_a_coarse_grid(self, case):
+        # A rate rounded up on a 1e-4 kWh grid exceeds its bound by more
+        # than the validator tolerance, so rates are floored on every grid.
+        instance, baseload = case
+        assert flow.grid(instance, float(baseload.sum()))[1] == 10**4
+        schedule = solve_flatten(FlattenProblem(instance, BaseloadSeries(baseload)))
+        validate_schedule(instance, schedule)
 
     def test_aggregate_unique_under_job_permutation(self):
         rng = np.random.default_rng(73)

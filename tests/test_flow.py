@@ -11,7 +11,7 @@ from scipy.sparse.csgraph import maximum_flow
 from depotcharge import flow
 from depotcharge.errors import InfeasibleError, ScalingOverflowError, SolverError
 from depotcharge.matching import match_week, to_jobs
-from depotcharge.model import Instance, Job, validate_schedule
+from depotcharge.model import Instance, Job, check_feasible, validate_schedule
 from depotcharge.oracle import lp_min_co2
 from depotcharge.synth import sinusoid_emissions, synth_timetable, week_horizon
 
@@ -32,7 +32,7 @@ class TestNetworkShape:
         for _ in range(20):
             instance = random_instance(rng, with_caps=True)
             emissions = emission_series(rng, instance.interval_count)
-            network, capacities, costs = flow.build_network(instance, emissions)
+            network, _, capacities, costs = flow.build_network(instance, emissions)
             n = len(instance.jobs)
             m = instance.interval_count
             window_total = sum(job.departure - job.arrival for job in instance.jobs)
@@ -55,25 +55,27 @@ class TestNetworkShape:
             Job(id="b", arrival=1, departure=3, energy_kwh=1.0, max_rate_kwh=1.0),
         )
         emissions = flow.EmissionSeries(np.array([0.3, 0.1, 0.2]))
-        network, capacities, costs = flow.build_network(Instance(horizon, jobs), emissions)
+        network, scale, capacities, costs = flow.build_network(Instance(horizon, jobs), emissions)
+        # The largest rate pile-up, 2.5 kWh, keeps 1e8 units per kWh in the kernel.
+        assert scale == 10**8
 
         source = network.source_arcs()
         assert list(network.tails[source]) == [0, 0]
         assert list(network.heads[source]) == [1, 2]
-        assert list(capacities[source]) == [2000, 1000]
+        assert list(capacities[source]) == [2 * scale, 1 * scale]
 
         job_arcs = network.job_arcs()
         assert list(network.tails[job_arcs]) == [1, 1, 2, 2]
         assert list(network.heads[job_arcs]) == [3, 4, 4, 5]
         assert list(network.arc_job) == [0, 0, 1, 1]
         assert list(network.arc_interval) == [0, 1, 1, 2]
-        assert list(capacities[job_arcs]) == [1500, 1500, 1000, 1000]
+        assert list(capacities[job_arcs]) == [1.5 * scale, 1.5 * scale, 1 * scale, 1 * scale]
 
         sink = network.sink_arcs()
         assert list(network.tails[sink]) == [3, 4, 5]
         assert list(network.heads[sink]) == [6, 6, 6]
-        # No caps: sink capacity is the summed rate bound, never binding.
-        assert list(capacities[sink]) == [2500, 2500, 2500]
+        # No caps: sink capacity is the summed rate into the interval, never binding.
+        assert list(capacities[sink]) == [1.5 * scale, 2.5 * scale, 1 * scale]
         assert list(costs[sink]) == [300000, 100000, 200000]
         assert not costs[: sink.start].any()
 
@@ -82,8 +84,8 @@ class TestNetworkShape:
         jobs = (Job(id="a", arrival=0, departure=2, energy_kwh=6.0, max_rate_kwh=6.0),)
         instance = Instance(horizon, jobs, caps_kwh=np.array([4.0, 6.0]))
         emissions = flow.EmissionSeries(np.array([0.1, 0.5]))
-        network, capacities, _ = flow.build_network(instance, emissions)
-        assert list(capacities[network.sink_arcs()]) == [4000, 6000]
+        network, scale, capacities, _ = flow.build_network(instance, emissions)
+        assert list(capacities[network.sink_arcs()]) == [4 * scale, 6 * scale]
 
     def test_emission_length_mismatch(self):
         horizon = make_horizon(3)
@@ -202,28 +204,43 @@ class TestSolveMinCo2:
         instance = Instance(horizon, jobs, caps_kwh=np.array([3.0, 3.0]))
         emissions = flow.EmissionSeries(np.array([0.1, 0.5]))
         # Everything through the dear interval: feasible, but beatable.
+        scale = flow.build_network(instance, emissions)[1]
         monkeypatch.setattr(
             flow, "_polymatroid_greedy",
-            lambda network, capacities, costs, job_ids: np.array([2000, 0, 2000, 0, 2000]),
+            lambda network, capacities, costs, job_ids: np.array([2, 0, 2, 0, 2]) * scale,
         )
         with pytest.raises(SolverError):
             flow.solve_min_co2(instance, emissions)
 
     def test_huge_caps_match_the_uncapped_greedy(self):
-        # 1e7 kWh is 1e10 watt-hours, past the 32-bit kernel range; caps
-        # that large never bind and must solve like no caps at all.
+        # Caps this large never bind and must solve like no caps at all;
+        # they are clipped to the rates into their interval before scaling,
+        # so even 1e13 kWh fits the grid.
         rng = np.random.default_rng(41)
-        for _ in range(10):
+        for cap in (1e7, 1e12, 1e13) * 4:
             instance = random_instance(rng)
             emissions = emission_series(rng, instance.interval_count)
             capped = Instance(
-                instance.horizon, instance.jobs, caps_kwh=np.full(instance.interval_count, 1e7)
+                instance.horizon, instance.jobs, caps_kwh=np.full(instance.interval_count, cap)
             )
             schedule = flow.solve_min_co2(capped, emissions)
             validate_schedule(capped, schedule)
             assert co2_total(schedule, emissions) == pytest.approx(
                 co2_total(flow.solve_min_co2(instance, emissions), emissions), abs=1e-9
             )
+
+    def test_energy_past_watt_hour_resolution(self):
+        # 4e6 kWh is 4e9 Wh, past the 32-bit kernel; the grid takes 100
+        # units per kWh instead.
+        horizon = make_horizon(2)
+        jobs = (Job(id="a", arrival=0, departure=2, energy_kwh=4e6, max_rate_kwh=3e6),)
+        instance = Instance(horizon, jobs, caps_kwh=np.array([3e6, 3e6]))
+        emissions = flow.EmissionSeries(np.array([1.0, 2.0]))
+        schedule = flow.solve_min_co2(instance, emissions)
+        validate_schedule(instance, schedule)
+        reference = lp_min_co2(instance, emissions.kg_per_kwh)
+        assert reference.objective == pytest.approx(5e6, rel=1e-9)
+        assert co2_total(schedule, emissions) == pytest.approx(reference.objective, rel=1e-9)
 
     def test_capped_solve_takes_a_max_flow_per_level(self, monkeypatch):
         # Feasibility, one per level of the rank halving, and the extraction.
@@ -312,7 +329,7 @@ def prefix_rank_greedy(network, capacities, costs):
 
 def greedy_matches_prefix_ranks(instance: Instance, emissions: flow.EmissionSeries) -> bool:
     """Both greedies return the same flow (True) or both refuse (False)."""
-    network, capacities, costs = flow.build_network(instance, emissions)
+    network, _, capacities, costs = flow.build_network(instance, emissions)
     try:
         expected = prefix_rank_greedy(network, capacities, costs)
     except InfeasibleError:
@@ -365,7 +382,7 @@ class TestVerifyOptimality:
         for _ in range(20):
             instance = random_instance(rng, with_caps=True)
             emissions = emission_series(rng, instance.interval_count)
-            network, capacities, costs = flow.build_network(instance, emissions)
+            network, _, capacities, costs = flow.build_network(instance, emissions)
             ids = [job.id for job in instance.jobs]
             flows = flow._polymatroid_greedy(network, capacities, costs, ids)
             certificate = flow.verify_optimality(network, capacities, costs, flows)
@@ -373,11 +390,11 @@ class TestVerifyOptimality:
             assert certificate.witness_cycle == ()
 
     def test_suboptimal_flow_yields_negative_witness_cycle(self):
-        network, capacities, costs = self._tiny_network()
+        network, scale, capacities, costs = self._tiny_network()
         # Arc order: source->job, job->i0, job->i1, i0->sink, i1->sink.
         # Routing everything through the dear interval is feasible but
         # beatable, so the certificate must expose a cycle.
-        flows = np.array([2000, 0, 2000, 0, 2000], dtype=np.int64)
+        flows = np.array([2, 0, 2, 0, 2], dtype=np.int64) * scale
         certificate = flow.verify_optimality(network, capacities, costs, flows)
         assert not certificate.optimal
         cycle = certificate.witness_cycle
@@ -398,14 +415,14 @@ class TestVerifyOptimality:
         assert total < 0
 
     def test_rejects_flow_violating_conservation(self):
-        network, capacities, costs = self._tiny_network()
-        flows = np.array([2000, 1000, 0, 1000, 0], dtype=np.int64)
+        network, scale, capacities, costs = self._tiny_network()
+        flows = np.array([2, 1, 0, 1, 0], dtype=np.int64) * scale
         with pytest.raises(ValueError):
             flow.verify_optimality(network, capacities, costs, flows)
 
     def test_rejects_flow_violating_capacity(self):
-        network, capacities, costs = self._tiny_network()
-        flows = np.array([9000, 9000, 0, 9000, 0], dtype=np.int64)
+        network, scale, capacities, costs = self._tiny_network()
+        flows = np.array([9, 9, 0, 9, 0], dtype=np.int64) * scale
         with pytest.raises(ValueError):
             flow.verify_optimality(network, capacities, costs, flows)
 
@@ -415,7 +432,7 @@ class TestFeasibilityCut:
         rng = np.random.default_rng(31)
         for _ in range(20):
             instance = random_instance(rng, with_caps=True)
-            report = flow.feasibility_cut(instance)
+            report = check_feasible(instance)
             assert report.feasible
             assert report.violating_jobs == frozenset()
 
@@ -426,9 +443,27 @@ class TestFeasibilityCut:
             Job(id="b", arrival=0, departure=1, energy_kwh=6.0, max_rate_kwh=6.0),
         )
         instance = Instance(horizon, jobs, caps_kwh=np.array([10.0]))
-        report = flow.feasibility_cut(instance)
+        report = check_feasible(instance)
         assert not report.feasible
         assert report.violating_jobs == frozenset({"a", "b"})
+
+    def test_off_grid_rate_at_full_use_under_tight_caps(self):
+        # Job "a" needs its full 1/3 kWh in every interval, which rounds
+        # below 1 kWh on any decimal grid, and the caps leave no slack.
+        horizon = make_horizon(3)
+        jobs = (
+            Job(id="a", arrival=0, departure=3, energy_kwh=1.0, max_rate_kwh=1 / 3),
+            Job(id="b", arrival=0, departure=3, energy_kwh=0.5, max_rate_kwh=1 / 3),
+        )
+        instance = Instance(horizon, jobs, caps_kwh=np.full(3, 0.5))
+        factors = np.array([1.0, 2.0, 3.0])
+        assert lp_min_co2(instance, factors).objective == pytest.approx(3.0, rel=1e-9)
+        report = check_feasible(instance)
+        assert report.feasible
+        assert report.violating_jobs == frozenset()
+        schedule = flow.solve_min_co2(instance, flow.EmissionSeries(factors))
+        validate_schedule(instance, schedule)
+        assert co2_total(schedule, flow.EmissionSeries(factors)) == pytest.approx(3.0, rel=1e-6)
 
     def test_cut_isolates_overloaded_window(self):
         # Job "c" charges in a separate, uncongested interval and must
@@ -440,7 +475,7 @@ class TestFeasibilityCut:
             Job(id="c", arrival=1, departure=2, energy_kwh=2.0, max_rate_kwh=2.0),
         )
         instance = Instance(horizon, jobs, caps_kwh=np.array([10.0, 5.0]))
-        report = flow.feasibility_cut(instance)
+        report = check_feasible(instance)
         assert not report.feasible
         assert report.violating_jobs == frozenset({"a", "b"})
 

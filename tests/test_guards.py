@@ -164,7 +164,7 @@ def test_greedy_cuts_that_take_in_nothing():
         flow.residual_reachable = lambda network, capacities, flows: np.zeros(
             network.node_count, dtype=bool
         )
-    """ + CAPPED, "a leaf share of 7000 lies outside [0, 3000]")
+    """ + CAPPED, "a leaf share of 700000000 lies outside [0, 300000000]")
 
 
 def test_greedy_cuts_that_take_in_everything():
@@ -174,7 +174,7 @@ def test_greedy_cuts_that_take_in_everything():
         flow.residual_reachable = lambda network, capacities, flows: np.ones(
             network.node_count, dtype=bool
         )
-    """ + CAPPED, "a leaf share of -1000")
+    """ + CAPPED, "a leaf share of -100000000 lies outside [0, 200000000]")
 
 
 def test_greedy_spill_past_a_cap():
