@@ -18,7 +18,8 @@ greedy.  Its rank increments come from a divide and conquer over the
 cost ranks whose every level is one network of disjoint blocks
 (:func:`block_level`, which flattening shares), at most 2 + ceil(log2 m)
 max flows in all, and every such solve is checked by the optimality
-certificate (:func:`verify_optimality`); without caps the problem
+certificate (:func:`verify_optimality`), one Dijkstra search from the
+sink since costs sit on the sink arcs only; without caps the problem
 separates per job and is filled greedily.
 
 Every max-flow solve, flattening's included, runs on one integer grid
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, maximum_flow
+from scipy.sparse.csgraph import breadth_first_order, dijkstra, maximum_flow
 
 from .errors import InfeasibleError, ScalingOverflowError, SolverError
 from .model import Instance, Schedule
@@ -461,61 +462,46 @@ class OptimalityCertificate:
 def verify_optimality(
     network: JobIntervalNetwork, capacities: np.ndarray, costs: np.ndarray, flows: np.ndarray
 ) -> OptimalityCertificate:
-    """Certify a flow as minimum-cost via Bellman-Ford on the residual graph.
+    """Certify a flow as minimum-cost with one Dijkstra search from the sink.
 
     The flow must respect capacities and conservation (checked, since a
-    certificate over an invalid flow would be meaningless).  A flow is
-    minimum-cost for its routed value exactly when the residual graph has
-    no negative-cost cycle; the witness returned for a suboptimal flow is
-    one such cycle.
+    certificate over an invalid flow would be meaningless), and costs
+    must sit on the sink arcs only.  A flow is minimum-cost for its
+    routed value exactly when the residual graph has no negative-cost
+    cycle.  Every such cycle leaves the sink through an interval i with
+    flow, reaches an interval j with headroom over zero-cost arcs and
+    returns at cost c_j < c_i.  Dijkstra from the sink over the reversed
+    residual arcs finds the cheapest such c_j for every i; the witness is
+    the sink, i and the Dijkstra path from i to j.
     """
     flows = np.asarray(flows, dtype=np.int64)
     if flows.shape != (network.arc_count,):
         raise ValueError("flow vector does not match the arc count")
     if np.any(flows < 0) or np.any(flows > capacities):
         raise ValueError("flow violates arc capacities")
-    balance = np.zeros(network.node_count, dtype=np.int64)
-    np.subtract.at(balance, network.tails, flows)
-    np.add.at(balance, network.heads, flows)
-    interior = np.ones(network.node_count, dtype=bool)
-    interior[[network.source, network.sink]] = False
-    if np.any(balance[interior] != 0):
+    balance = np.bincount(network.heads, flows, network.node_count) - np.bincount(
+        network.tails, flows, network.node_count
+    )
+    if np.any(balance[1 : network.sink]):  # the job and interval nodes
         raise ValueError("flow violates conservation at a job or interval node")
+    sink_arcs = network.sink_arcs()
+    if np.any(costs[: sink_arcs.start]):
+        raise ValueError("costs must sit on sink arcs only")
 
-    # Residual arcs, each forward arc before its reverse.
-    keep = np.stack([flows < capacities, flows > 0], axis=1).ravel()
-    edges = list(zip(
-        np.stack([network.tails, network.heads], axis=1).ravel()[keep].tolist(),
-        np.stack([network.heads, network.tails], axis=1).ravel()[keep].tolist(),
-        np.stack([costs, -costs], axis=1).ravel()[keep].tolist(),
-    ))
-
-    node_count = network.node_count
-    dist = [0] * node_count  # virtual zero-cost source into every node
-    prev = [-1] * node_count
-    last_updated = -1
-    for _ in range(node_count):
-        changed = False
-        for tail, head, cost in edges:
-            nd = dist[tail] + cost
-            if nd < dist[head]:
-                dist[head] = nd
-                prev[head] = tail
-                last_updated = head
-                changed = True
-        if not changed:
-            return OptimalityCertificate(optimal=True)
-
-    # Still relaxing after node_count passes: walk back onto the cycle.
-    node = last_updated
-    for _ in range(node_count):
-        node = prev[node]
-    cycle = [node]
-    walk = prev[node]
-    while walk != node:
-        cycle.append(walk)
-        walk = prev[walk]
-    cycle.reverse()
+    # Reversed, a residual arc sits at the merged pattern's other position
+    # for its network arc.  Dijkstra needs non-negative costs; shifting
+    # every sink cost alike changes no comparison.
+    sink_costs = costs[sink_arcs] - costs[sink_arcs].min(initial=0)
+    weights = np.zeros(2 * network.arc_count)
+    weights[network._reverse[sink_arcs]] = sink_costs
+    graph = _merged_graph(network, flows > 0, flows < capacities, weights)
+    dist, prev = dijkstra(graph, indices=network.sink, return_predecessors=True)
+    beaten = np.flatnonzero((flows[sink_arcs] > 0) & (dist[network.interval_nodes()] < sink_costs))
+    if not len(beaten):
+        return OptimalityCertificate(optimal=True)
+    cycle = [network.sink, 1 + network.job_count + int(beaten[0])]
+    while prev[cycle[-1]] != network.sink:
+        cycle.append(int(prev[cycle[-1]]))
     return OptimalityCertificate(optimal=False, witness_cycle=tuple(cycle))
 
 
@@ -633,18 +619,27 @@ def max_flow(network: JobIntervalNetwork, capacities: np.ndarray) -> tuple[int, 
     return int(result.flow_value), result.flow.data[network._forward].astype(np.int64)
 
 
+def _merged_graph(
+    network: JobIntervalNetwork, forward: np.ndarray, reverse: np.ndarray, weights=None
+) -> csr_matrix:
+    """The merged arc pattern with arc a as tail -> head where ``forward[a]``
+    and as head -> tail where ``reverse[a]``; ``weights`` in merged order, or ones."""
+    keep = np.empty(2 * network.arc_count, dtype=bool)
+    keep[network._forward] = forward
+    keep[network._reverse] = reverse
+    kept = np.concatenate([[0], np.cumsum(keep)])
+    data = np.ones(int(kept[-1])) if weights is None else weights[keep]
+    return csr_matrix(
+        (data, network._merged_indices[keep], kept[network._merged_indptr]),
+        shape=(network.node_count, network.node_count),
+    )
+
+
 def residual_reachable(
     network: JobIntervalNetwork, capacities: np.ndarray, flows: np.ndarray
 ) -> np.ndarray:
     """Boolean mask of nodes reachable from the source in the residual graph."""
-    keep = np.empty(2 * network.arc_count, dtype=bool)
-    keep[network._forward] = flows < capacities
-    keep[network._reverse] = flows > 0
-    kept = np.concatenate([[0], np.cumsum(keep)])
-    graph = csr_matrix(
-        (np.ones(int(kept[-1])), network._merged_indices[keep], kept[network._merged_indptr]),
-        shape=(network.node_count, network.node_count),
-    )
+    graph = _merged_graph(network, flows < capacities, flows > 0)
     visited = breadth_first_order(graph, network.source, directed=True, return_predecessors=False)
     mask = np.zeros(network.node_count, dtype=bool)
     mask[visited] = True

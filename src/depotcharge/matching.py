@@ -150,14 +150,13 @@ def build_edges(
     """
     if not charge_rate_kw > 0:
         raise ValueError("charge rate must be positive")
-    edges = []
-    starts = [horizon.index_floor(line.start) for line in lines]
-    for b, bus in enumerate(buses):
-        ready = ready_time_index(bus, horizon, charge_rate_kw)
-        for l, line in enumerate(lines):
-            if bus.bus_type is line.bus_type and ready <= starts[l]:
-                edges.append((b, l))
-    return tuple(edges)
+    ready = np.array([ready_time_index(bus, horizon, charge_rate_kw) for bus in buses], dtype=np.int64)
+    starts = np.array([horizon.index_floor(line.start) for line in lines], dtype=np.int64)
+    bus_types = np.array([bus.bus_type for bus in buses], dtype=object)
+    line_types = np.array([line.bus_type for line in lines], dtype=object)
+    # Row-major order is (bus, line) order, the order match tries edges in.
+    b, l = np.nonzero((bus_types[:, None] == line_types) & (ready[:, None] <= starts))
+    return tuple(zip(b.tolist(), l.tolist()))
 
 
 def match(

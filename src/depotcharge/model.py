@@ -270,9 +270,6 @@ class Schedule:
         """Return ``(window_start, energies)`` for one job."""
         return self.window_starts[job_id], self.window_energy[job_id]
 
-    def energy_for(self, job_id: str) -> float:
-        return float(self.window_energy[job_id].sum())
-
 
 def aggregate(schedule: Schedule) -> np.ndarray:
     """Recompute the summed charging profile from the allocations."""

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 
+import depotcharge
 from depotcharge import data, metrics
 from depotcharge.cli import WeekConfig, _config_from, main, run_week
 from depotcharge.matching import BusType, LineRecord
@@ -310,3 +315,16 @@ class TestErrorReporting:
         )
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+def test_package_runs_as_a_module_without_warnings():
+    # ``python -m depotcharge.cli`` warns that the package has already
+    # imported the module; ``python -m depotcharge`` must not.
+    src = Path(depotcharge.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "depotcharge", "week", "--help"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert "--seed" in result.stdout

@@ -112,6 +112,23 @@ class TestEmissionSeries:
             flow.EmissionSeries(np.zeros((2, 2)))
 
 
+def replicated_week(copies: int, cap_kwh: float) -> Instance:
+    """The seed-0 roster ``copies`` times over under a flat cap per interval."""
+    horizon = week_horizon()
+    roster = to_jobs(match_week(synth_timetable(seed=0).lines, horizon), horizon)
+    jobs = tuple(replace(job, id=f"{job.id}/{copy}") for copy in range(copies) for job in roster)
+    return Instance(horizon, jobs, caps_kwh=np.full(horizon.interval_count, cap_kwh))
+
+
+def assert_matches_reference_lp(instance: Instance) -> None:
+    """The capped week's schedule validates and its CO2 is the LP optimum."""
+    emissions = sinusoid_emissions(instance.horizon)
+    schedule = flow.solve_min_co2(instance, emissions)
+    validate_schedule(instance, schedule)
+    reference = lp_min_co2(instance, emissions.kg_per_kwh)
+    assert co2_total(schedule, emissions) == pytest.approx(reference.objective, rel=1e-9)
+
+
 class TestSolveMinCo2:
     def test_fills_cheapest_intervals(self):
         horizon = make_horizon(3)
@@ -270,16 +287,15 @@ class TestSolveMinCo2:
     def test_replicated_week_matches_reference_lp(self):
         # The seed-0 roster twice over (420 jobs) under a 300 kWh cap per
         # interval: the coupled regime the greedy exists for.
-        horizon = week_horizon()
-        roster = to_jobs(match_week(synth_timetable(seed=0).lines, horizon), horizon)
-        jobs = tuple(replace(job, id=f"{job.id}/{copy}") for copy in range(2) for job in roster)
-        instance = Instance(horizon, jobs, caps_kwh=np.full(horizon.interval_count, 300.0))
-        emissions = sinusoid_emissions(horizon)
-        schedule = flow.solve_min_co2(instance, emissions)
-        validate_schedule(instance, schedule)
-        reference = lp_min_co2(instance, emissions.kg_per_kwh)
-        assert len(jobs) == 420
-        assert co2_total(schedule, emissions) == pytest.approx(reference.objective, rel=1e-9)
+        instance = replicated_week(2, 300.0)
+        assert len(instance.jobs) == 420
+        assert_matches_reference_lp(instance)
+
+    def test_fleet_scale_week_matches_reference_lp(self):
+        # Five times over, 1,050 jobs under 750 kWh per interval.
+        instance = replicated_week(5, 750.0)
+        assert len(instance.jobs) == 1050
+        assert_matches_reference_lp(instance)
 
     def test_infeasible_caps_raise(self):
         horizon = make_horizon(1)
@@ -362,11 +378,50 @@ class TestGreedyAgainstPrefixRanks:
         assert any(outcomes) and not all(outcomes)
 
     def test_replicated_week(self):
-        horizon = week_horizon()
-        roster = to_jobs(match_week(synth_timetable(seed=0).lines, horizon), horizon)
-        jobs = tuple(replace(job, id=f"{job.id}/{copy}") for copy in range(2) for job in roster)
-        instance = Instance(horizon, jobs, caps_kwh=np.full(horizon.interval_count, 300.0))
-        assert greedy_matches_prefix_ranks(instance, sinusoid_emissions(horizon))
+        instance = replicated_week(2, 300.0)
+        assert greedy_matches_prefix_ranks(instance, sinusoid_emissions(instance.horizon))
+
+
+def residual_cycle_cost(network, capacities, costs, flows, cycle) -> int:
+    """Cost of a node cycle; every step must be an arc of the residual graph."""
+    residual_cost = {}
+    for a in range(network.arc_count):
+        tail, head = int(network.tails[a]), int(network.heads[a])
+        if flows[a] < capacities[a]:
+            residual_cost[(tail, head)] = int(costs[a])
+        if flows[a] > 0:
+            residual_cost[(head, tail)] = -int(costs[a])
+    total = 0
+    for pos, node in enumerate(cycle):
+        succ = cycle[(pos + 1) % len(cycle)]
+        assert (node, succ) in residual_cost
+        total += residual_cost[(node, succ)]
+    return total
+
+
+def move_one_job(rng, network, capacities, flows):
+    """``flows`` with part of one job's energy moved to another of its intervals.
+
+    The receiving interval needs rate and cap headroom; None when no job
+    has such a pair.
+    """
+    first, sink = network.job_arcs().start, network.sink_arcs().start
+    for k in rng.permutation(network.job_count):
+        window = first + np.flatnonzero(network.arc_job == k)
+        ints = sink + network.arc_interval[window - first]
+        room = np.minimum(capacities[window] - flows[window], capacities[ints] - flows[ints])
+        pairs = [
+            (a, b) for a in np.flatnonzero(flows[window] > 0) for b in np.flatnonzero(room > 0)
+            if a != b
+        ]
+        if pairs:
+            a, b = pairs[rng.integers(len(pairs))]
+            amount = int(rng.integers(1, min(flows[window[a]], room[b]) + 1))
+            moved = flows.copy()
+            moved[[window[a], ints[a]]] -= amount
+            moved[[window[b], ints[b]]] += amount
+            return moved
+    return None
 
 
 class TestVerifyOptimality:
@@ -397,22 +452,50 @@ class TestVerifyOptimality:
         flows = np.array([2, 0, 2, 0, 2], dtype=np.int64) * scale
         certificate = flow.verify_optimality(network, capacities, costs, flows)
         assert not certificate.optimal
-        cycle = certificate.witness_cycle
-        assert len(cycle) >= 2
+        assert len(certificate.witness_cycle) >= 2
+        assert residual_cycle_cost(network, capacities, costs, flows, certificate.witness_cycle) < 0
 
-        residual_cost = {}
-        for a in range(network.arc_count):
-            tail, head = int(network.tails[a]), int(network.heads[a])
-            if flows[a] < capacities[a]:
-                residual_cost[(tail, head)] = int(costs[a])
-            if flows[a] > 0:
-                residual_cost[(head, tail)] = -int(costs[a])
-        total = 0
-        for pos, node in enumerate(cycle):
-            succ = cycle[(pos + 1) % len(cycle)]
-            assert (node, succ) in residual_cost
-            total += residual_cost[(node, succ)]
-        assert total < 0
+    def test_perturbed_flows_against_exact_cost(self):
+        # Moving part of one job's energy between two of its intervals
+        # keeps a flow feasible, and it stays optimal exactly when its
+        # integer cost equals the greedy's.  Half the instances draw their
+        # factors from 3-4 values, so that ties give both verdicts.
+        rng = np.random.default_rng(53)
+        verdicts = []
+        for trial in range(120):
+            instance = random_instance(rng, max_jobs=8, max_intervals=16, with_caps=True)
+            m = instance.interval_count
+            if trial % 2:
+                factors = rng.choice(random_emissions(rng, int(rng.integers(3, 5))), size=m)
+            else:
+                factors = random_emissions(rng, m)
+            emissions = flow.EmissionSeries(factors)
+            network, _, capacities, costs = flow.build_network(instance, emissions)
+            ids = [job.id for job in instance.jobs]
+            best = flow._polymatroid_greedy(network, capacities, costs, ids)
+            for _ in range(4):
+                moved = move_one_job(rng, network, capacities, best)
+                if moved is None:
+                    break
+                certificate = flow.verify_optimality(network, capacities, costs, moved)
+                optimal = int(costs @ moved) == int(costs @ best)
+                assert certificate.optimal == optimal
+                if optimal:
+                    assert certificate.witness_cycle == ()
+                else:
+                    cycle = certificate.witness_cycle
+                    assert residual_cycle_cost(network, capacities, costs, moved, cycle) < 0
+                verdicts.append(optimal)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_rejects_costs_off_the_sink_arcs(self):
+        network, scale, capacities, costs = self._tiny_network()
+        flows = np.array([2, 2, 0, 2, 0], dtype=np.int64) * scale
+        assert flow.verify_optimality(network, capacities, costs, flows).optimal
+        costs = costs.copy()
+        costs[network.job_arcs().start] = 1
+        with pytest.raises(ValueError, match="costs must sit on sink arcs only"):
+            flow.verify_optimality(network, capacities, costs, flows)
 
     def test_rejects_flow_violating_conservation(self):
         network, scale, capacities, costs = self._tiny_network()

@@ -204,3 +204,19 @@ def test_greedy_targets_that_do_not_route():
 
         flow.max_flow = short_extraction
     """ + CAPPED, "targets do not route")
+
+
+def test_dearer_flow_fails_the_certificate():
+    run_optimized("""
+        # A feasible flow that charges job a in intervals 0 and 2 while
+        # interval 1, the cheapest, has room.  Arcs: the source arcs, a's
+        # window 0-2, b's window 1-3, the sink arcs 0-3, in kWh.
+        capped = Instance(horizon, instance.jobs, caps_kwh=np.full(4, 3.0))
+        emissions = EmissionSeries(np.array([0.3, 0.1, 0.2, 0.4]))
+        scale = flow.build_network(capped, emissions)[1]
+        dearer = np.array([4, 3, 2, 0, 2, 2, 0, 1, 2, 2, 2, 1]) * scale
+        flow._polymatroid_greedy = lambda network, capacities, costs, job_ids: dearer
+
+        def fault():
+            flow.solve_min_co2(capped, emissions)
+    """, "not optimal")

@@ -20,6 +20,7 @@ from depotcharge.matching import (
     to_jobs,
 )
 from depotcharge.model import check_feasible, Instance
+from depotcharge.synth import synth_timetable, week_horizon
 
 from helpers import WEEK_START, make_horizon
 
@@ -127,6 +128,29 @@ class TestBuildEdges:
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
             build_edges([], [], WEEK, charge_rate_kw=0.0)
+
+    def test_no_buses_means_no_edges(self):
+        assert build_edges([], [small_line("l1", 1, 6.0, 10.0)], WEEK) == ()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_synthetic_week_matches_a_double_loop(self, seed):
+        # The edges, in the (bus, line) order match tries them in, on every
+        # evening of a synthetic week.
+        horizon = week_horizon()
+        by_day = {}
+        for line in synth_timetable(seed=seed).lines:
+            by_day.setdefault(line.day, []).append(line)
+        for day, arriving in by_day.items():
+            buses = [ArrivingBus.from_line(line) for line in arriving]
+            lines = by_day.get(day + 1, [])
+            expected = tuple(
+                (b, l)
+                for b, bus in enumerate(buses)
+                for l, line in enumerate(lines)
+                if bus.bus_type is line.bus_type
+                and ready_time_index(bus, horizon, 30.0) <= horizon.index_floor(line.start)
+            )
+            assert build_edges(buses, lines, horizon, 30.0) == expected
 
 
 def random_bipartite(rng, max_side=8, density=0.4):
