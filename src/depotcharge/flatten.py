@@ -26,14 +26,18 @@ divide and conquer holds every block alive:
    group can join true groups less than a grid step apart, and then the
    shares' cut splits it again.
 
-The blocks of a level share no job and no interval, so one
+The first level's blocks are the chains of overlapping windows: they
+share no job, so the objective separates across them.  The blocks of a
+level share no job and no interval, so one
 :class:`~depotcharge.flow.JobIntervalNetwork` holds the whole level as
 disjoint blocks: one max flow decides every probe and every group check,
 a second one takes the probes one step lower, and one residual search
 reads every block's cut.  All of it runs on the instance's integer grid
-(:func:`~depotcharge.flow.grid`), where a final max flow against the
-per-interval targets extracts one feasible allocation.  The aggregate
-profile is unique even though the per-job decomposition is not.
+(:func:`~depotcharge.flow.grid`), and the schedule is read off the
+decomposition itself: the spills of the cuts and the flows of the group
+checks that route deliver every grid unit, which is checked job by job
+and interval by interval.  The aggregate profile is unique even though
+the per-job decomposition is not.
 """
 
 from __future__ import annotations
@@ -90,7 +94,10 @@ def solve_flatten(problem: FlattenProblem) -> Schedule:
     """Minimize sum_i (s(i)+b(i))^2 over windows and rate bounds.
 
     The returned schedule's aggregate is the unique flattening optimum;
-    the per-job split is one feasible decomposition among many.
+    the per-job split is one feasible decomposition among many, the one
+    the cuts' spills and the routed group checks leave.  Raises
+    SolverError when that split misses a job's energy, an interval's
+    target or a rate bound.
     """
     instance = problem.instance
     jobs = instance.jobs
@@ -101,12 +108,12 @@ def solve_flatten(problem: FlattenProblem) -> Schedule:
     rates = np.array([job.max_rate_kwh for job in jobs])
     energies = np.array([job.energy_kwh for job in jobs])
     network, scale, e_int, l_int, _ = grid(instance, float(np.abs(base_f).sum()))
-    target_int = _peel_targets(network, energies, rates, e_int, l_int, base_f, scale)
-
-    # One feasible allocation realizing the targets, on the same grid.
-    value, flows = max_flow(network, network.capacities(e_int, l_int, target_int))
-    if value < e_int.sum():
-        raise SolverError(f"the flattened targets route {value} of {e_int.sum()} grid units")
+    target_int, flows = _peel_targets(network, energies, rates, e_int, l_int, base_f, scale)
+    arcs = flows[network.job_arcs()]
+    delivered = np.add.reduceat(arcs, np.cumsum(network.widths) - network.widths)
+    within = (arcs >= 0) & (arcs <= np.repeat(l_int, network.widths))
+    if np.any(delivered != e_int) or np.any(network.reach(flows) != target_int) or not within.all():
+        raise SolverError("the allocation read off the cuts misses an energy, a target or a rate")
     windows = network.job_windows(flows / scale)
     allocations = {job.id: values for job, values in zip(jobs, windows)}
     # Residuals go to the lowest current totals first.
@@ -173,28 +180,38 @@ def _peel_targets(
     l_int: np.ndarray,
     base_f: np.ndarray,
     scale: int,
-) -> np.ndarray:
-    """Per-interval integer charge targets realizing the water-fill optimum on ``whole``."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-interval integer charge targets realizing the water-fill optimum
+    on ``whole``, and a flow per arc of ``whole`` that delivers them."""
     m = whole.interval_count
     spilled = np.zeros(whole.job_count, dtype=np.int64)
     b_eff_f = base_f.copy()
     b_eff_i = np.rint(base_f * scale).astype(np.int64)
     target_int = np.zeros(m, dtype=np.int64)
     shares = np.zeros(m, dtype=np.int64)
+    allocation = np.zeros(whole.arc_count, dtype=np.int64)
+    # The arc of job k into interval i is whole_first[k] + i.
+    whole_first = whole.job_count + np.cumsum(whole.widths) - whole.widths - whole.starts
     # Each live job and interval carries its block's label; checks[label]
-    # marks a group whose shares must route, the rest probe a level.
-    job_block = np.zeros(whole.job_count, dtype=np.int64)
-    int_block = np.zeros(m, dtype=np.int64)
-    checks = np.zeros(1, dtype=bool)
+    # marks a group whose shares must route, the rest probe a level.  The
+    # first blocks are the chains of overlapping windows, which share no
+    # job: a chain starts at i when no window [s, e) has s < i < e.
+    held = np.bincount(whole.starts + 1, minlength=m + 1) - np.bincount(whole.stops, minlength=m + 1)
+    int_block = np.cumsum(np.cumsum(held)[:m] == 0) - 1
+    job_block = int_block[whole.starts]
+    checks = np.zeros(int_block[-1] + 1, dtype=bool)
     while True:
         remaining = e_int - l_int * spilled
         job_block[remaining <= 0] = -1
         if np.all(job_block < 0):
-            return target_int
+            return target_int, allocation
         # One network holds the level, so one max flow decides every block.
         network, jobs, ints, labels, job_start, job_pos, int_pos = block_level(
             whole.starts, whole.stops, job_block, int_block
         )
+        # Blocks are contiguous runs of the level's jobs and intervals.
+        job_bounds = np.append(job_start, len(jobs))
+        int_bounds = np.searchsorted(int_pos, np.arange(len(labels) + 1))
         checking = checks[labels]
         volume = np.add.reduceat(remaining[jobs], job_start)
         capacities = network.capacities(remaining[jobs], l_int[jobs], np.zeros(len(ints), dtype=np.int64))
@@ -212,7 +229,7 @@ def _peel_targets(
         # shares then do not route, and their cut splits it the same way.
         level = np.zeros(len(labels), dtype=np.int64)
         for b in np.flatnonzero(~checking):
-            level[b] = _min_int_level(b_eff_i[ints[int_pos == b]], volume[b])
+            level[b] = _min_int_level(b_eff_i[ints[int_bounds[b] : int_bounds[b + 1]]], volume[b])
         capacities[sink_arcs] = np.where(checking[int_pos], shares[ints], ceiling(level))
         _, flows = max_flow(network, capacities)
         short = np.add.reduceat(flows[: len(jobs)], job_start) < volume
@@ -248,10 +265,15 @@ def _peel_targets(
         np.add.at(target_int, spill_ints, l_int[spill_jobs])
         np.add.at(b_eff_i, spill_ints, l_int[spill_jobs])
         np.add.at(b_eff_f, spill_ints, rates[spill_jobs])
+        # The spills and the flows of the groups that route are final.
+        taken = np.flatnonzero(spill | done[job_pos[network.arc_job]])
+        whole_arc = whole_first[jobs[network.arc_job[taken]]] + ints[network.arc_interval[taken]]
+        allocation[whole_arc] = flows[network.job_count + taken]
 
         for b in np.flatnonzero(top):
-            cut_jobs = jobs[cut_job & (job_pos == b)]
-            cut_ints = ints[cut_int & (int_pos == b)]
+            in_b, on_b = slice(*job_bounds[b : b + 2]), slice(*int_bounds[b : b + 2])
+            cut_jobs = jobs[in_b][cut_job[in_b]]
+            cut_ints = ints[on_b][cut_int[on_b]]
             outside = spilled[cut_jobs]
             group_volume_f = float(energies[cut_jobs].sum() - (rates[cut_jobs] * outside).sum())
             group_volume_i = int(e_int[cut_jobs].sum() - (l_int[cut_jobs] * outside).sum())
@@ -264,4 +286,5 @@ def _peel_targets(
         job_block[jobs] = np.where(done[job_pos], -1, 2 * job_pos + cut_job)
         int_block[ints] = np.where(done[int_pos], -1, 2 * int_pos + cut_int)
         checks = np.repeat(top, 2) & np.tile([False, True], len(labels))
-        del network  # held while block_level builds the next level, it set the memory peak
+        # Held while block_level builds the next level, they set the memory peak.
+        del network, whole_arc, taken, spill

@@ -104,6 +104,27 @@ def test_group_shares_that_never_route_beside_a_routing_block():
     """, "a group's shares")
 
 
+def test_allocation_that_misses_a_job():
+    run_optimized("""
+        # Every flow that routes all supplies moves one grid unit from job
+        # a's arc into interval 1 to job b's: block volumes and interval
+        # loads hold, but a delivers one unit short and b one unit over.
+        exact = flatten.max_flow
+
+        def one_unit_moved(network, capacities):
+            value, flows = exact(network, capacities)
+            into = network.job_arcs().start + np.flatnonzero(network.arc_interval == 1)
+            if value == capacities[network.source_arcs()].sum() and len(into) == 2:
+                flows[into] += [-1, 1]
+            return value, flows
+
+        flatten.max_flow = one_unit_moved
+
+        def fault():
+            flatten.solve_flatten(flatten.FlattenProblem(instance))
+    """, "allocation read off the cuts")
+
+
 def test_integer_water_fill_without_a_level():
     run_optimized("""
         def fault():
