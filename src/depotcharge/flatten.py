@@ -14,25 +14,28 @@ divide and conquer holds every block alive:
 1. Probe.  On an integer grid, X is the pooled level that fills the
    block's volume into its baseload valleys, ignoring windows and
    rates, so no schedule's top level lies below it.  A max-flow probe
-   with sink capacities ``max(0, X - b(i))`` decides whether the jobs fit.
-2. Split.  If they do not, the probe's source-reachable cut names the
-   jobs and intervals above X.  Cut jobs saturate their rate into every
-   window interval outside the cut; that spill becomes baseload for the
-   rest, and both halves are blocks of the next level.
-3. Finalize.  If they fit, a probe one grid step lower cuts off the top
-   group.  Its exact common level is recovered in floating point by
-   water-filling the group's own baseload valleys and apportioned to
-   integer shares, which must route on the group's own block: a grid
+   one grid step lower, with sink capacities ``max(0, X - 1 - b(i))``,
+   therefore never routes, and its source-reachable cut names exactly
+   the jobs and intervals whose level lies above X - 1.
+2. Split.  Cut jobs saturate their rate into every window interval
+   outside the cut; that spill becomes baseload for the rest, and both
+   halves are blocks of the next level.  The rest is probed again.
+3. Group.  The cut side's exact common level is recovered in floating
+   point by water-filling its own baseload valleys.  When that level
+   lies below X + 1 grid units, or the cut holds the whole block, the
+   cut side is one group: its level is apportioned to integer shares,
+   which must route on the group's own block at the next level.  A grid
    group can join true groups less than a grid step apart, and then the
-   shares' cut splits it again.
+   shares' cut splits it again.  Any other cut side is probed again.
 
 The first level's blocks are the chains of overlapping windows: they
 share no job, so the objective separates across them.  The blocks of a
 level share no job and no interval, so one
 :class:`~depotcharge.flow.JobIntervalNetwork` holds the whole level as
 disjoint blocks: one max flow decides every probe and every group check,
-a second one takes the probes one step lower, and one residual search
-reads every block's cut.  All of it runs on the instance's integer grid
+and one residual search reads every block's cut.  The pooled levels,
+water fills and apportioning run for every block of a level at once,
+one row per block.  All of it runs on the instance's integer grid
 (:func:`~depotcharge.flow.grid`), and the schedule is read off the
 decomposition itself: the spills of the cuts and the flows of the group
 checks that route deliver every grid unit, which is checked job by job
@@ -48,7 +51,7 @@ import numpy as np
 
 from .errors import SolverError
 from .flow import (
-    JobIntervalNetwork, _repair_delivery, block_level, grid, max_flow, residual_reachable,
+    JobIntervalNetwork, _repair_delivery, block_level, grid, max_flow, residual_reachable, row_sums,
 )
 from .model import BaseloadSeries, Instance, Schedule
 
@@ -122,53 +125,72 @@ def solve_flatten(problem: FlattenProblem) -> Schedule:
     return Schedule.build(instance, allocations)
 
 
-def _min_int_level(basins: np.ndarray, volume: int) -> int:
-    """Smallest integer X with sum_i max(0, X - basins[i]) >= volume."""
-    order = np.sort(basins)
-    ks = np.arange(1, len(order) + 1, dtype=np.int64)
-    candidates = -(-(volume + np.cumsum(order)) // ks)
+def _table(values: np.ndarray, rows: np.ndarray, count: int, pad) -> np.ndarray:
+    """One row per label holding its ``values`` in order, padded at the end
+    with ``pad``; ``rows`` labels the values and does not decrease."""
+    lengths = np.bincount(rows, minlength=count)
+    table = np.full((count, lengths.max(initial=1)), pad, dtype=values.dtype)
+    table[rows, np.arange(len(rows)) - (np.cumsum(lengths) - lengths)[rows]] = values
+    return table
+
+
+def _pooled_levels(basins: np.ndarray, rows: np.ndarray, volumes: np.ndarray) -> np.ndarray:
+    """Per row, the least integer X with sum max(0, X - basin) >= volume
+    over the row's basins."""
+    none = np.iinfo(np.int64).max
+    table = np.sort(_table(basins, rows, len(volumes), none), axis=1)
+    ks = np.arange(1, table.shape[1] + 1, dtype=np.int64)
+    candidates = -(-(volumes[:, None] + np.cumsum(np.where(table < none, table, 0), axis=1)) // ks)
+    upper = np.concatenate([table[:, 1:], np.full((len(volumes), 1), none)], axis=1)
+    valid = (table < none) & (candidates > table) & (candidates <= upper)
     # With no basins at all, no candidate is valid either.
-    upper = np.append(order[1:], np.iinfo(np.int64).max)
-    valid = np.flatnonzero((candidates > order) & (candidates <= upper))
-    if len(valid) == 0:
+    if not valid.any(axis=1).all():
         raise SolverError("integer water fill found no level")
-    return int(candidates[valid[0]])
+    return candidates[np.arange(len(volumes)), valid.argmax(axis=1)]
 
 
-def _float_water_fill(basins: np.ndarray, volume: float) -> tuple[float, int]:
-    """Exact common level filling `volume` into the lowest basins.
+def _water_fill(basins: np.ndarray, rows: np.ndarray, volumes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the exact common level filling its volume into its lowest basins.
 
-    Returns (level, k): the k lowest basins sit strictly below level and
-    absorb the whole volume.
+    ``basins`` ascend within each row.  Returns (level, k): the k lowest
+    basins of a row sit strictly below its level and absorb its volume.
     """
-    order = np.sort(basins)
-    levels = (volume + np.cumsum(order)) / np.arange(1, len(order) + 1)
-    fits = np.flatnonzero((levels > order) & (levels <= np.append(order[1:], np.inf)))
-    # Round-off can leave no exact segment when volume is vanishingly
-    # small; fall back to spreading over every basin.
-    k = int(fits[0]) + 1 if len(fits) else len(order)
-    return float(levels[k - 1]), k
+    table = _table(basins, rows, len(volumes), np.inf)
+    levels = (volumes[:, None] + np.cumsum(table, axis=1)) / np.arange(1, table.shape[1] + 1)
+    upper = np.concatenate([table[:, 1:], np.full((len(volumes), 1), np.inf)], axis=1)
+    fits = (levels > table) & (levels <= upper)
+    # Round-off can leave no exact segment when a volume is vanishingly
+    # small; such a row spreads over every basin.
+    k = np.where(fits.any(axis=1), fits.argmax(axis=1) + 1, np.bincount(rows, minlength=len(volumes)))
+    return levels[np.arange(len(volumes)), np.maximum(k, 1) - 1], k
 
 
-def _apportion(raw: np.ndarray, total: int) -> np.ndarray:
-    """Integer shares summing to `total`, tracking the float shares `raw`."""
-    if total < 0:
-        raise SolverError(f"cannot apportion a negative total of {total} grid units")
+def _apportion(raw: np.ndarray, rows: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Per row, integer shares summing to its total that track the float shares ``raw``.
+
+    ``rows`` labels the shares and does not decrease.
+    """
+    if np.any(totals < 0):
+        raise SolverError(f"cannot apportion a negative total of {totals[totals < 0][0]} grid units")
     raw = np.maximum(raw, 0.0)
     shares = np.floor(raw).astype(np.int64)
     fracs = raw - shares
-    deficit = total - int(shares.sum())
+    lengths = np.bincount(rows, minlength=len(totals))
+    first = np.cumsum(lengths) - lengths
+    deficit = totals.copy()
+    np.subtract.at(deficit, rows, shares)
     # Units go round the largest fractions first, come back round the
     # smallest, one unit per share and pass.
-    if deficit > 0:
-        rounds, extra = divmod(deficit, len(raw))
-        shares += rounds
-        shares[np.argsort(-fracs, kind="stable")[:extra]] += 1
-    order = np.argsort(fracs, kind="stable")
-    while deficit < 0:
-        down = order[shares[order] > 0][:-deficit]
-        shares[down] -= 1
-        deficit += len(down)
+    rounds, extra = np.divmod(np.maximum(deficit, 0), np.maximum(lengths, 1))
+    rank = np.empty(len(raw), dtype=np.int64)
+    rank[np.lexsort((-fracs, rows))] = np.arange(len(raw)) - first[rows]
+    shares += rounds[rows] + (rank < extra[rows])
+    for r in np.flatnonzero(deficit < 0):
+        order = first[r] + np.argsort(fracs[first[r] : first[r] + lengths[r]], kind="stable")
+        while deficit[r] < 0:
+            down = order[shares[order] > 0][: -deficit[r]]
+            shares[down] -= 1
+            deficit[r] += len(down)
     return shares
 
 
@@ -209,54 +231,35 @@ def _peel_targets(
         network, jobs, ints, labels, job_start, job_pos, int_pos = block_level(
             whole.starts, whole.stops, job_block, int_block
         )
-        # Blocks are contiguous runs of the level's jobs and intervals.
-        job_bounds = np.append(job_start, len(jobs))
-        int_bounds = np.searchsorted(int_pos, np.arange(len(labels) + 1))
         checking = checks[labels]
         volume = np.add.reduceat(remaining[jobs], job_start)
         capacities = network.capacities(remaining[jobs], l_int[jobs], np.zeros(len(ints), dtype=np.int64))
         sink_arcs = network.sink_arcs()
-        reach = network.reach(capacities)
-
-        def ceiling(level: np.ndarray) -> np.ndarray:
-            # A sink arc clipped to the rates into its interval saturates
-            # only when its job arcs do, so flow values and cuts are unchanged.
-            return np.minimum(np.maximum(level[int_pos] - b_eff_i[ints], 0), reach)
-
-        # The pooled level ignores windows and rates, so no schedule's top
-        # level lies below it, and a cut there splits off all above it.  A
-        # grid group can join true groups less than a grid step apart; its
-        # shares then do not route, and their cut splits it the same way.
-        level = np.zeros(len(labels), dtype=np.int64)
-        for b in np.flatnonzero(~checking):
-            level[b] = _min_int_level(b_eff_i[ints[int_bounds[b] : int_bounds[b + 1]]], volume[b])
-        capacities[sink_arcs] = np.where(checking[int_pos], shares[ints], ceiling(level))
-        _, flows = max_flow(network, capacities)
-        short = np.add.reduceat(flows[: len(jobs)], job_start) < volume
-        done = checking & ~short
+        # A probe sits one grid step below its block's pooled level X, the
+        # least level whose valleys hold the block's volume with no windows
+        # or rates, so it never routes and its cut splits off exactly the
+        # jobs and intervals above X - 1.  A sink arc clipped to the rates
+        # into its interval saturates only when its job arcs do, so flow
+        # values and cuts are unchanged.
+        level = _pooled_levels(b_eff_i[ints], int_pos, volume)
+        below = np.clip(level[int_pos] - 1 - b_eff_i[ints], 0, network.reach(capacities))
+        capacities[sink_arcs] = np.where(checking[int_pos], shares[ints], below)
+        result = max_flow(network, capacities)
+        flows = network.arc_flows(result)
+        routes = np.add.reduceat(flows[: len(jobs)], job_start) == volume
+        if np.any(routes & ~checking):
+            raise SolverError(f"the probe one grid step below level {level[routes & ~checking][0]} routes")
+        done = checking & routes
         target_int[ints[done[int_pos]]] += shares[ints[done[int_pos]]]
-        # A pooled level that routes binds its top group one grid step
-        # below.  The other blocks sit that max flow out with no capacity
-        # and keep their first flow, so one residual search reads every cut.
-        top = ~checking & ~short
-        if top.any():
-            on_top = top[np.concatenate([job_pos, job_pos[network.arc_job], int_pos])]
-            capacities[sink_arcs] = np.where(top[int_pos], ceiling(level - 1), capacities[sink_arcs])
-            _, lower = max_flow(network, np.where(on_top, capacities, 0))
-            routes = top & (np.add.reduceat(lower[: len(jobs)], job_start) == volume)
-            if routes.any():
-                raise SolverError(f"level {level[routes][0]} still routes one grid step below")
-            flows = np.where(on_top, lower, flows)
 
         # The source side of a cut is each block's high part.  Its jobs
         # saturate their rate into every window interval left outside;
         # that spill is immovable and becomes baseload for the rest.
-        reachable = residual_reachable(network, capacities, flows)
+        reachable = residual_reachable(network, capacities, result)
         cut_job, cut_int = reachable[network.job_nodes()], reachable[network.interval_nodes()]
-        stalled = np.flatnonzero(short & (np.bincount(int_pos[~cut_int], minlength=len(labels)) == 0))
-        if len(stalled):
-            what = "a group's shares" if checking[stalled[0]] else f"level {level[stalled[0]]}"
-            raise SolverError(f"the cut at {what} failed to advance")
+        entire = np.bincount(int_pos[~cut_int], minlength=len(labels)) == 0
+        if np.any(checking & ~routes & entire):
+            raise SolverError("the cut at a group's shares failed to advance")
         # Arcs are job-major, so each interval takes its spills in job order.
         spill = cut_job[network.arc_job] & ~cut_int[network.arc_interval]
         spill_jobs = jobs[network.arc_job[spill]]
@@ -270,21 +273,34 @@ def _peel_targets(
         whole_arc = whole_first[jobs[network.arc_job[taken]]] + ints[network.arc_interval[taken]]
         allocation[whole_arc] = flows[network.job_count + taken]
 
-        for b in np.flatnonzero(top):
-            in_b, on_b = slice(*job_bounds[b : b + 2]), slice(*int_bounds[b : b + 2])
-            cut_jobs = jobs[in_b][cut_job[in_b]]
-            cut_ints = ints[on_b][cut_int[on_b]]
-            outside = spilled[cut_jobs]
-            group_volume_f = float(energies[cut_jobs].sum() - (rates[cut_jobs] * outside).sum())
-            group_volume_i = int(e_int[cut_jobs].sum() - (l_int[cut_jobs] * outside).sum())
-            group_volume_f = max(group_volume_f, group_volume_i / scale)
-            lam, k_active = _float_water_fill(b_eff_f[cut_ints], group_volume_f)
-            group = cut_ints[np.argsort(b_eff_f[cut_ints], kind="stable")][:k_active]
-            shares[cut_ints] = 0
-            shares[group] = _apportion(lam * scale - b_eff_i[group], group_volume_i)
-        # Each block's cut side and rest form the next level; a top block's cut side is its group.
+        # Each probe's cut side is water-filled on its own baseload valleys,
+        # lowest first.  A cut side whose level lies below X + 1 grid units
+        # is one group, as is one that holds its whole block; its integer
+        # shares must route on the next level.  A grid group can join true
+        # groups less than a grid step apart; its shares then do not route,
+        # and their cut splits it.  Any other cut side is probed again.
+        side_jobs = np.flatnonzero(cut_job & ~checking[job_pos])
+        rows = job_pos[side_jobs]
+        members = jobs[side_jobs]
+        volume_i = np.zeros(len(labels), dtype=np.int64)
+        np.add.at(volume_i, rows, e_int[members] - l_int[members] * spilled[members])
+        volume_f = row_sums(energies[members], rows, len(labels)) - row_sums(
+            rates[members] * spilled[members], rows, len(labels)
+        )
+        volume_f = np.maximum(volume_f, volume_i / scale)
+        side = np.flatnonzero(cut_int & ~checking[int_pos])
+        side = side[np.lexsort((b_eff_f[ints[side]], int_pos[side]))]
+        rows = int_pos[side]
+        lam, k_active = _water_fill(b_eff_f[ints[side]], rows, volume_f)
+        grouped = ~checking & ((lam * scale < level + 1) | entire)
+        first = np.searchsorted(rows, np.arange(len(labels)))
+        in_group = grouped[rows] & (np.arange(len(side)) - first[rows] < k_active[rows])
+        group = ints[side[in_group]]
+        shares[ints[side]] = 0
+        shares[group] = _apportion(lam[rows[in_group]] * scale - b_eff_i[group], rows[in_group], volume_i)
+        # Each block's cut side and rest form the next level.
         job_block[jobs] = np.where(done[job_pos], -1, 2 * job_pos + cut_job)
         int_block[ints] = np.where(done[int_pos], -1, 2 * int_pos + cut_int)
-        checks = np.repeat(top, 2) & np.tile([False, True], len(labels))
+        checks = np.repeat(grouped, 2) & np.tile([False, True], len(labels))
         # Held while block_level builds the next level, they set the memory peak.
-        del network, whole_arc, taken, spill
+        del network, result, whole_arc, taken, spill

@@ -7,7 +7,10 @@ at the per-interval rate bound, and each interval drains into the sink.
 :class:`JobIntervalNetwork` fixes that numbering and the arc order and
 builds the max-flow matrix once; the solvers differ only in the integer
 capacities they put on its arcs.  :func:`max_flow` is the "how much fits"
-oracle, and :func:`residual_reachable` reads the binding cut off a flow.
+oracle.  It returns the kernel's own result, whose flow matrix already
+pairs every arc with its reverse, so :func:`residual_reachable` reads
+the binding cut straight off it and the network keeps no reverse
+pattern of its own.
 
 Minimum-emission scheduling is a minimum-cost flow on that network, with
 each sink arc capped by the aggregate cap (or an amount that never
@@ -41,7 +44,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, dijkstra, maximum_flow
 
 from .errors import InfeasibleError, ScalingOverflowError, SolverError
-from .model import Instance, Schedule
+from .model import Instance, Schedule, add_windows
 
 #: Largest scaled magnitude representable exactly on the float path.
 _INT_LIMIT = 2**53
@@ -152,23 +155,10 @@ class JobIntervalNetwork:
         # the source arcs; job k's row its reverse source arc, then its
         # window; interval i's row the reverse arcs of the jobs reaching i,
         # then its sink arc; the sink row the reverse sink arcs.
-        offsets = np.cumsum(widths) - widths
         per_interval = np.cumsum(np.bincount(self.arc_interval, minlength=m))
-        by_interval = np.argsort(self.arc_interval, kind="stable")
-        reverse_job = np.empty(w, dtype=np.int64)
-        reverse_job[by_interval] = 2 * n + w + np.arange(w) + self.arc_interval[by_interval]
         self._forward = np.concatenate([
             np.arange(n), n + 1 + self.arc_job + np.arange(w), 2 * n + w + per_interval + np.arange(m)
         ])
-        self._reverse = np.concatenate([
-            n + np.arange(n) + offsets, reverse_job, 2 * n + 2 * w + m + np.arange(m)
-        ])
-        self._merged_indices = np.empty(2 * self.arc_count, dtype=np.int32)
-        self._merged_indices[self._forward] = self.heads
-        self._merged_indices[self._reverse] = self.tails
-        self._merged_indptr = np.concatenate(
-            [[0], np.cumsum(row_lengths + np.bincount(self.heads, minlength=nodes))]
-        )
 
     @classmethod
     def from_instance(cls, instance: Instance) -> "JobIntervalNetwork":
@@ -220,6 +210,10 @@ class JobIntervalNetwork:
         return np.bincount(
             self.arc_interval, weights=capacities[self.job_arcs()], minlength=self.interval_count
         ).astype(np.int64)
+
+    def arc_flows(self, result) -> np.ndarray:
+        """The flow per arc, in arc order, of a :func:`max_flow` result."""
+        return result.flow.data[self._forward].astype(np.int64)
 
     def job_windows(self, arc_values: np.ndarray) -> list[np.ndarray]:
         """Per-job views of an arc array's job arcs, one window each."""
@@ -324,10 +318,10 @@ def violating_jobs(network: JobIntervalNetwork, capacities: np.ndarray) -> np.nd
 
     Their combined demand exceeds the capacity reachable from their windows.
     """
-    value, flows = max_flow(network, capacities)
-    if value >= capacities[network.source_arcs()].sum():
+    result = max_flow(network, capacities)
+    if result.flow_value >= capacities[network.source_arcs()].sum():
         return np.zeros(0, dtype=np.int64)
-    return np.flatnonzero(residual_reachable(network, capacities, flows)[network.job_nodes()])
+    return np.flatnonzero(residual_reachable(network, capacities, result)[network.job_nodes()])
 
 
 def _polymatroid_greedy(
@@ -422,8 +416,7 @@ def _polymatroid_greedy(
         level_caps = level.capacities(
             np.where(leaf[job_pos], 0, remaining[jobs]), rate[jobs], np.where(opened, headroom[ints], 0)
         )
-        _, flows = max_flow(level, level_caps)
-        reachable = residual_reachable(level, level_caps, flows)
+        reachable = residual_reachable(level, level_caps, max_flow(level, level_caps))
         cut_job, cut_int = reachable[level.job_nodes()], reachable[level.interval_nodes()]
         spill = cut_job[level.arc_job] & ~cut_int[level.arc_interval]
         spill_jobs = jobs[level.arc_job[spill]]
@@ -438,10 +431,10 @@ def _polymatroid_greedy(
         lo, hi = np.stack([low, mid], axis=1).ravel(), np.stack([mid, high], axis=1).ravel()
 
     probe[sink_arcs] = targets
-    value, flows = max_flow(network, probe)
-    if value < total:
-        raise SolverError(f"the greedy targets do not route: {value} of {total} grid units")
-    return flows
+    result = max_flow(network, probe)
+    if result.flow_value < total:
+        raise SolverError(f"the greedy targets do not route: {result.flow_value} of {total} grid units")
+    return network.arc_flows(result)
 
 
 @dataclass(frozen=True)
@@ -488,13 +481,21 @@ def verify_optimality(
     if np.any(costs[: sink_arcs.start]):
         raise ValueError("costs must sit on sink arcs only")
 
-    # Reversed, a residual arc sits at the merged pattern's other position
-    # for its network arc.  Dijkstra needs non-negative costs; shifting
-    # every sink cost alike changes no comparison.
+    # Reversed, an arc with headroom runs head -> tail at its cost and an
+    # arc with flow tail -> head at none.  Dijkstra needs non-negative
+    # costs; shifting every sink cost alike changes no comparison.
     sink_costs = costs[sink_arcs] - costs[sink_arcs].min(initial=0)
-    weights = np.zeros(2 * network.arc_count)
-    weights[network._reverse[sink_arcs]] = sink_costs
-    graph = _merged_graph(network, flows > 0, flows < capacities, weights)
+    weights = np.zeros(network.arc_count)
+    weights[sink_arcs] = sink_costs
+    room, used = flows < capacities, flows > 0
+    graph = csr_matrix(
+        (
+            np.concatenate([weights[room], np.zeros(np.count_nonzero(used))]),
+            (np.concatenate([network.heads[room], network.tails[used]]),
+             np.concatenate([network.tails[room], network.heads[used]])),
+        ),
+        shape=(network.node_count, network.node_count),
+    )
     dist, prev = dijkstra(graph, indices=network.sink, return_predecessors=True)
     beaten = np.flatnonzero((flows[sink_arcs] > 0) & (dist[network.interval_nodes()] < sink_costs))
     if not len(beaten):
@@ -526,6 +527,18 @@ def _greedy_cheapest_fill(instance: Instance, emissions: EmissionSeries) -> Sche
     return Schedule.build(instance, allocations)
 
 
+def row_sums(values: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
+    """Per-row sums of ``values``, grouped by the non-decreasing ``rows``.
+
+    Each equals numpy's own sum of its row, bit for bit: a zero ahead of
+    every row makes ``reduceat`` add the row as ``sum`` does.
+    """
+    lengths = np.bincount(rows, minlength=count)
+    padded = np.zeros(len(values) + count)
+    padded[np.arange(len(values)) + rows + 1] = values
+    return np.add.reduceat(padded, np.cumsum(lengths) - lengths + np.arange(count))
+
+
 def _repair_delivery(
     instance: Instance,
     allocations: dict[str, np.ndarray],
@@ -544,10 +557,17 @@ def _repair_delivery(
     key and load, so its order follows the steps.
     """
     caps = instance.caps_kwh
-    for job in instance.jobs:
-        load[job.arrival : job.departure] += allocations[job.id]
-    for job in instance.jobs:
-        values = allocations[job.id]
+    jobs = instance.jobs
+    if not jobs:
+        return
+    windows = [allocations[job.id] for job in jobs]
+    add_windows(load, [job.arrival for job in jobs], windows)
+    # Only the jobs whose windows miss their energy enter the loop.
+    rows = np.repeat(np.arange(len(jobs)), [len(values) for values in windows])
+    sums = row_sums(np.concatenate(windows), rows, len(jobs))
+    energies = np.array([job.energy_kwh for job in jobs])
+    for k in np.flatnonzero(np.abs(energies - sums) >= 1e-12):
+        job, values = jobs[k], windows[k]
         residual = job.energy_kwh - float(values.sum())
         if abs(residual) < 1e-12:
             continue
@@ -604,42 +624,39 @@ def solve_min_co2(instance: Instance, emissions: EmissionSeries) -> Schedule:
     return Schedule.build(instance, allocations)
 
 
-def max_flow(network: JobIntervalNetwork, capacities: np.ndarray) -> tuple[int, np.ndarray]:
-    """Integer max flow from source to sink; returns (value, flow per arc).
+def max_flow(network: JobIntervalNetwork, capacities: np.ndarray):
+    """Integer max flow from source to sink: the kernel's own result, scipy's
+    ``MaximumFlowResult``.
 
-    Capacities are given in arc order and must fit in 32 bits (:func:`grid`
-    picks the scale accordingly).  A call only rewrites the data of the
-    network's matrix and reads the arc flows back by precomputed index.
+    ``result.flow_value`` is the value.  ``result.flow`` pairs every arc
+    with its reverse, the flow at the arc and its negation at the
+    reverse; :meth:`JobIntervalNetwork.arc_flows` reads the flow per arc
+    off it and :func:`residual_reachable` the cut.  Capacities are given
+    in arc order and must fit in 32 bits (:func:`grid` picks the scale
+    accordingly).  A call only rewrites the data of the network's matrix.
     """
     capacities = np.asarray(capacities)
     if capacities.size and int(capacities.max()) > _INT32_LIMIT:
         raise ScalingOverflowError("a scaled capacity exceeds the 32-bit kernel limit")
     network._graph.data[:] = capacities
-    result = maximum_flow(network._graph, network.source, network.sink)
-    return int(result.flow_value), result.flow.data[network._forward].astype(np.int64)
+    return maximum_flow(network._graph, network.source, network.sink)
 
 
-def _merged_graph(
-    network: JobIntervalNetwork, forward: np.ndarray, reverse: np.ndarray, weights=None
-) -> csr_matrix:
-    """The merged arc pattern with arc a as tail -> head where ``forward[a]``
-    and as head -> tail where ``reverse[a]``; ``weights`` in merged order, or ones."""
-    keep = np.empty(2 * network.arc_count, dtype=bool)
-    keep[network._forward] = forward
-    keep[network._reverse] = reverse
-    kept = np.concatenate([[0], np.cumsum(keep)])
-    data = np.ones(int(kept[-1])) if weights is None else weights[keep]
-    return csr_matrix(
-        (data, network._merged_indices[keep], kept[network._merged_indptr]),
-        shape=(network.node_count, network.node_count),
+def residual_reachable(network: JobIntervalNetwork, capacities: np.ndarray, result) -> np.ndarray:
+    """Boolean mask of nodes reachable from the source in the residual graph
+    of a :func:`max_flow` result on ``capacities``.
+
+    The search runs on the kernel's flow matrix, where an arc is left
+    with its capacity less its flow and its reverse, of capacity zero
+    and flow negated, with the flow itself.
+    """
+    flow = result.flow
+    merged = np.zeros(len(flow.data), dtype=np.int64)
+    merged[network._forward] = capacities
+    kept = np.flatnonzero(flow.data < merged)
+    graph = csr_matrix(
+        (np.ones(len(kept)), flow.indices[kept], np.searchsorted(kept, flow.indptr)), shape=flow.shape
     )
-
-
-def residual_reachable(
-    network: JobIntervalNetwork, capacities: np.ndarray, flows: np.ndarray
-) -> np.ndarray:
-    """Boolean mask of nodes reachable from the source in the residual graph."""
-    graph = _merged_graph(network, flows < capacities, flows > 0)
     visited = breadth_first_order(graph, network.source, directed=True, return_predecessors=False)
     mask = np.zeros(network.node_count, dtype=bool)
     mask[visited] = True

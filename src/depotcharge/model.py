@@ -196,6 +196,20 @@ class BaseloadSeries:
         return len(self.kwh)
 
 
+def add_windows(total: np.ndarray, starts, windows: list[np.ndarray]) -> None:
+    """Add every window array into ``total`` from its start, in place.
+
+    One pass over the windows laid end to end: each interval takes its
+    windows in list order, as a loop of slice additions would.
+    """
+    if not windows:
+        return
+    widths = np.array([len(values) for values in windows])
+    offsets = np.asarray(starts, dtype=np.int64) - (np.cumsum(widths) - widths)
+    flat = np.concatenate(windows)
+    np.add.at(total, np.arange(len(flat)) + np.repeat(offsets, widths), flat)
+
+
 def _sum_windows(
     interval_count: int,
     window_starts: Mapping[str, int],
@@ -204,9 +218,7 @@ def _sum_windows(
     # Shared by Schedule.build and aggregate() so the stored aggregate is
     # bitwise recomputable.
     total = np.zeros(interval_count, dtype=float)
-    for job_id, values in window_energy.items():
-        a = window_starts[job_id]
-        total[a : a + len(values)] += values
+    add_windows(total, [window_starts[job_id] for job_id in window_energy], list(window_energy.values()))
     return total
 
 

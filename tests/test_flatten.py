@@ -56,7 +56,7 @@ def off_grid_instances(draw, coarse=False):
 
 
 def round_robin_apportion(raw, total):
-    """The unit-by-unit apportioning that `flatten._apportion` vectorises."""
+    """The unit-by-unit apportioning of one row that `flatten._apportion` vectorises."""
     raw = np.maximum(raw, 0.0)
     shares = np.floor(raw).astype(np.int64)
     fracs = raw - shares
@@ -76,7 +76,7 @@ def round_robin_apportion(raw, total):
 
 
 def scanned_water_fill(basins, volume):
-    """The basin-by-basin scan that `flatten._float_water_fill` vectorises."""
+    """The basin-by-basin scan of one row that `flatten._water_fill` vectorises."""
     order = np.sort(basins)
     prefix = np.cumsum(order)
     for k in range(1, len(order) + 1):
@@ -84,6 +84,24 @@ def scanned_water_fill(basins, volume):
         if level > order[k - 1] and (k == len(order) or level <= order[k]):
             return level, k
     return (volume + float(prefix[-1])) / len(order), len(order)
+
+
+def min_int_level(basins, volume):
+    """Smallest integer X with sum_i max(0, X - basins[i]) >= volume, for one
+    row, as `flatten._pooled_levels` finds it for every row at once."""
+    order = np.sort(basins)
+    ks = np.arange(1, len(order) + 1, dtype=np.int64)
+    candidates = -(-(volume + np.cumsum(order)) // ks)
+    upper = np.append(order[1:], np.iinfo(np.int64).max)
+    valid = np.flatnonzero((candidates > order) & (candidates <= upper))
+    return int(candidates[valid[0]])
+
+
+def random_rows(rng, draw):
+    """Up to six rows of one to eight values each: (values, row labels, per-row values)."""
+    parts = [draw(int(rng.integers(1, 9))) for _ in range(int(rng.integers(1, 7)))]
+    rows = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
+    return np.concatenate(parts), rows, parts
 
 
 def record_levels(monkeypatch):
@@ -103,19 +121,33 @@ def record_levels(monkeypatch):
 
 class TestGridHelpers:
     def test_apportion_matches_the_round_robin(self):
+        # Totals reach below the floors' sum, so shares also come back.
         rng = np.random.default_rng(103)
         for _ in range(300):
-            raw = rng.uniform(-1.0, 6.0, int(rng.integers(1, 9)))
-            total = max(0, int(round(raw.clip(0).sum())) + int(rng.integers(-20, 21)))
-            expected = round_robin_apportion(raw, total)
-            np.testing.assert_array_equal(flatten._apportion(raw, total), expected)
+            raw, rows, parts = random_rows(rng, lambda size: rng.uniform(-1.0, 6.0, size))
+            totals = np.array(
+                [max(0, int(round(part.clip(0).sum())) + int(rng.integers(-20, 21))) for part in parts]
+            )
+            shares = flatten._apportion(raw, rows, totals)
+            for r, part in enumerate(parts):
+                np.testing.assert_array_equal(shares[rows == r], round_robin_apportion(part, totals[r]))
 
     def test_float_water_fill_matches_the_scan(self):
         rng = np.random.default_rng(107)
         for _ in range(300):
-            basins = rng.uniform(0.0, 12.0, int(rng.integers(1, 9)))
-            volume = float(rng.choice([1e-300, rng.uniform(0.0, 40.0)]))
-            assert flatten._float_water_fill(basins, volume) == scanned_water_fill(basins, volume)
+            basins, rows, parts = random_rows(rng, lambda size: np.sort(rng.uniform(0.0, 12.0, size)))
+            volumes = np.array([rng.choice([1e-300, rng.uniform(0.0, 40.0)]) for _ in parts])
+            levels, ks = flatten._water_fill(basins, rows, volumes)
+            for r, part in enumerate(parts):
+                assert (levels[r], ks[r]) == scanned_water_fill(part, volumes[r])
+
+    def test_pooled_levels_match_the_integer_fill(self):
+        rng = np.random.default_rng(139)
+        for _ in range(300):
+            basins, rows, parts = random_rows(rng, lambda size: rng.integers(-50, 10**6, size))
+            volumes = rng.integers(1, 10**7, size=len(parts))
+            levels = flatten._pooled_levels(basins, rows, volumes)
+            assert list(levels) == [min_int_level(part, volumes[r]) for r, part in enumerate(parts)]
 
 
 class TestFlattenProblem:
@@ -275,10 +307,9 @@ class TestSolveFlatten:
         assert_exchange_optimal(instance, schedule, baseload, tol=1e-3)
 
     def test_week_sweep_probe_budget(self, monkeypatch):
-        # One max flow decides every block of a level, and one more takes
-        # the blocks that route one step lower: the seed-0 sweep made
-        # 3,252 max flows with a level ladder and 1,744 with one network
-        # per block.
+        # One max flow decides every block of a level: the seed-0 sweep
+        # made 3,252 max flows with a level ladder and 1,744 with one
+        # network per block.
         _, calls = record_levels(monkeypatch)
         horizon = synth.week_horizon()
         jobs = to_jobs(match_week(synth.synth_timetable(seed=0).lines, horizon), horizon)
@@ -287,9 +318,26 @@ class TestSolveFlatten:
         sweep(Instance(horizon, jobs), synth.sinusoid_emissions(horizon), baseload)
         # Starting from the chains of overlapping windows and reading the
         # schedule off the cuts took it from 197 max flows over 1,007,383
-        # arcs to 170 over 714,176.
-        assert 0 < len(calls) <= 180
-        assert sum(args[0].arc_count for args in calls) <= 750_000
+        # arcs to 170 over 714,176; probing one grid step below the pooled
+        # level, with no second max flow per level, to 103 over 452,751.
+        assert 0 < len(calls) <= 110
+        assert sum(args[0].arc_count for args in calls) <= 470_000
+
+    def test_one_max_flow_and_one_cut_per_level(self, monkeypatch):
+        blocks, calls = record_levels(monkeypatch)
+        cuts = []
+        exact_cut = flatten.residual_reachable
+        monkeypatch.setattr(
+            flatten, "residual_reachable", lambda *args: cuts.append(args) or exact_cut(*args)
+        )
+        rng = np.random.default_rng(127)
+        for _ in range(40):
+            instance = random_instance(rng)
+            baseload = random_baseload(rng, instance.interval_count)
+            del blocks[:], calls[:], cuts[:]
+            solve_flatten(FlattenProblem(instance, BaseloadSeries(baseload)))
+            assert len(blocks) == len(calls) == len(cuts) > 0
+            assert [args[0] for args in calls] == [args[0] for args in cuts]
 
     def test_no_max_flow_on_the_whole_network(self, monkeypatch):
         # The allocation is read off the cuts, so no max flow runs on the

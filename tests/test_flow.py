@@ -334,13 +334,13 @@ def prefix_rank_greedy(network, capacities, costs):
     ranked = 0
     for i in np.argsort(costs[sink], kind="stable"):
         probe[sink.start + i] = caps[i]
-        rank = flow.max_flow(network, probe)[0]
+        rank = flow.max_flow(network, probe).flow_value
         increments[i], ranked = rank - ranked, rank
     probe[sink] = increments
-    value, flows = flow.max_flow(network, probe)
-    if value < capacities[network.source_arcs()].sum():
+    result = flow.max_flow(network, probe)
+    if result.flow_value < capacities[network.source_arcs()].sum():
         raise InfeasibleError("the prefix ranks leave supply unrouted")
-    return flows
+    return network.arc_flows(result)
 
 
 def greedy_matches_prefix_ranks(instance: Instance, emissions: flow.EmissionSeries) -> bool:
@@ -569,7 +569,8 @@ class TestMaxFlowKernel:
         # diamond, with a side branch from a into interval 0.
         network = flow.JobIntervalNetwork([0, 1], [2, 2], 2)
         caps = network.capacities([10, 5], [7, 9], [4, 6])
-        value, flows = flow.max_flow(network, caps)
+        result = flow.max_flow(network, caps)
+        value, flows = result.flow_value, network.arc_flows(result)
         # Interval 1 drains at most 6 and interval 0 at most 4.
         assert value == 10
         assert np.all(flows >= 0) and np.all(flows <= caps)
@@ -582,7 +583,8 @@ class TestMaxFlowKernel:
     def test_capacities_change_between_calls(self):
         network = flow.JobIntervalNetwork([0, 1], [2, 2], 2)
         for sink_caps, expected in (([4, 6], 10), ([0, 0], 0), ([9, 9], 15), ([1, 2], 3)):
-            value, flows = flow.max_flow(network, network.capacities([10, 5], [7, 9], sink_caps))
+            result = flow.max_flow(network, network.capacities([10, 5], [7, 9], sink_caps))
+            value, flows = result.flow_value, network.arc_flows(result)
             assert value == expected
             assert flows[network.sink_arcs()].sum() == expected
 
@@ -594,7 +596,8 @@ class TestMaxFlowKernel:
             stops = np.minimum(starts + rng.integers(1, 5, size=len(starts)), m)
             network = flow.JobIntervalNetwork(starts, stops, m)
             caps = rng.integers(0, 5, size=network.arc_count)
-            value, flows = flow.max_flow(network, caps)
+            result = flow.max_flow(network, caps)
+            value, flows = result.flow_value, network.arc_flows(result)
             reference = maximum_flow(
                 csr_matrix(
                     (caps.astype(np.int32), (network.tails, network.heads)),
@@ -610,9 +613,9 @@ class TestMaxFlowKernel:
         # One job, two intervals; the sink arc of interval 1 is closed.
         network = flow.JobIntervalNetwork([0], [2], 2)
         caps = network.capacities([5], [3], [3, 0])
-        value, flows = flow.max_flow(network, caps)
-        assert value == 3
-        mask = flow.residual_reachable(network, caps, flows)
+        result = flow.max_flow(network, caps)
+        assert result.flow_value == 3
+        mask = flow.residual_reachable(network, caps, result)
         # The job is unsaturated.  Its arc into interval 0 is full, so only
         # interval 1 is reachable, and interval 1 cannot drain to the sink.
         assert list(mask) == [True, True, False, True, False]
@@ -622,3 +625,72 @@ class TestMaxFlowKernel:
         caps = np.array([2**40, 1, 1], dtype=np.int64)
         with pytest.raises(ScalingOverflowError):
             flow.max_flow(network, caps)
+
+
+def residual_bfs(network, capacities, flows):
+    """Nodes the source reaches over residual arcs, searched node by node:
+    an arc runs forward while its flow is below its capacity and backward
+    while it carries flow."""
+    residual = {node: [] for node in range(network.node_count)}
+    for tail, head, cap, used in zip(network.tails, network.heads, capacities, flows):
+        if used < cap:
+            residual[int(tail)].append(int(head))
+        if used > 0:
+            residual[int(head)].append(int(tail))
+    seen, frontier = {network.source}, [network.source]
+    while frontier:
+        frontier = [nxt for node in frontier for nxt in residual[node] if nxt not in seen]
+        seen.update(frontier)
+    return np.isin(np.arange(network.node_count), list(seen))
+
+
+class TestRowSums:
+    def test_each_row_sums_as_numpy_sums_it(self):
+        rng = np.random.default_rng(149)
+        for _ in range(100):
+            lengths = rng.integers(0, 300, size=int(rng.integers(1, 6)))
+            parts = [rng.uniform(0.0, 50.0, size) * 10.0 ** rng.integers(-3, 4) for size in lengths]
+            rows = np.repeat(np.arange(len(parts)), lengths)
+            sums = flow.row_sums(np.concatenate(parts), rows, len(parts))
+            assert sums.tobytes() == np.array([part.sum() for part in parts]).tobytes()
+
+
+class TestResidualCut:
+    def test_cut_off_the_kernel_matrix_matches_a_plain_search(self):
+        # Zero-capacity arcs throughout, and on some networks whole blocks
+        # of jobs and intervals that sit the flow out with no supply.
+        rng = np.random.default_rng(131)
+        for _ in range(300):
+            m = int(rng.integers(1, 13))
+            starts = rng.integers(0, m, size=int(rng.integers(0, 9)))
+            stops = np.minimum(starts + rng.integers(1, 6, size=len(starts)), m)
+            network = flow.JobIntervalNetwork(starts, stops, m)
+            caps = rng.integers(0, 6, size=network.arc_count) * (rng.random(network.arc_count) < 0.8)
+            if rng.random() < 0.5:
+                idle = rng.random(network.job_count) < 0.4
+                caps[network.source_arcs().start + np.flatnonzero(idle)] = 0
+                caps[network.job_arcs().start + np.flatnonzero(idle[network.arc_job])] = 0
+            result = flow.max_flow(network, caps)
+            expected = residual_bfs(network, caps, network.arc_flows(result))
+            np.testing.assert_array_equal(flow.residual_reachable(network, caps, result), expected)
+
+    def test_blocks_of_a_level_sit_a_flow_out(self):
+        # One network of disjoint blocks, every other block with no supply:
+        # none of its nodes is reachable, and the live blocks cut as alone.
+        rng = np.random.default_rng(137)
+        for _ in range(50):
+            m = int(rng.integers(2, 16))
+            starts = rng.integers(0, m, size=int(rng.integers(1, 9)))
+            stops = np.minimum(starts + rng.integers(1, 5, size=len(starts)), m)
+            job_block = rng.integers(0, 3, size=len(starts))
+            int_block = rng.integers(0, 3, size=m)
+            int_block[starts] = job_block
+            network, jobs, _, labels, _, job_pos, _ = flow.block_level(starts, stops, job_block, int_block)
+            caps = rng.integers(0, 6, size=network.arc_count)
+            asleep = labels[job_pos] == 1
+            caps[network.source_arcs().start + np.flatnonzero(asleep)] = 0
+            result = flow.max_flow(network, caps)
+            reachable = flow.residual_reachable(network, caps, result)
+            np.testing.assert_array_equal(reachable, residual_bfs(network, caps, network.arc_flows(result)))
+            assert not reachable[network.job_nodes()][asleep].any()
+

@@ -2,20 +2,29 @@
 
 Each test forces one internal fault and runs it in a subprocess with
 assertions stripped, expecting an error (a SolverError unless stated)
-rather than a wrong result or a hang.
+rather than a wrong result or a hang, or, where a fault is one the
+solver recovers from, a schedule that passes the checks.
 """
 
+import json
 import os
 import subprocess
 import sys
 import textwrap
+from datetime import datetime
 from pathlib import Path
 
+import numpy as np
+
 import depotcharge
+from depotcharge.model import Horizon, Instance, Job, Schedule, validate_schedule
+
+from helpers import assert_exchange_optimal
 
 SRC = Path(depotcharge.__file__).resolve().parents[1]
 
 PRELUDE = """
+import json
 import numpy as np
 from datetime import datetime
 from depotcharge import flatten, flow, weighted
@@ -51,19 +60,37 @@ else:
 
 
 def test_stalled_level_search():
-    run_optimized("""
-        # A level that never advances past zero.
-        flatten._min_int_level = lambda basins, volume: 0
-
-        def fault():
-            flatten.solve_flatten(flatten.FlattenProblem(instance))
-    """, "failed to advance")
+    # A pooled level of zero routes nothing one grid step below it, so
+    # each probe's cut holds its whole block.  That block goes on as a
+    # group check, whose shares route or split it, and the search still
+    # ends in an exchange-optimal schedule.
+    code = PRELUDE + textwrap.dedent("""
+        flatten._pooled_levels = lambda basins, rows, volumes: np.zeros(len(volumes), dtype=np.int64)
+        problem = flatten.FlattenProblem(instance, BaseloadSeries(np.array([1.0, 0.0, 2.5, 0.5])))
+        schedule = flatten.solve_flatten(problem)
+        print(json.dumps({job: list(values) for job, values in schedule.window_energy.items()}))
+    """)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert result.returncode == 0, result.stderr + result.stdout
+    horizon = Horizon(start=datetime(2023, 6, 5), interval_count=4)
+    instance = Instance(horizon, (
+        Job(id="a", arrival=0, departure=3, energy_kwh=4.0, max_rate_kwh=2.0),
+        Job(id="b", arrival=1, departure=4, energy_kwh=3.0, max_rate_kwh=2.0),
+    ))
+    windows = json.loads(result.stdout)
+    schedule = Schedule.build(instance, {job: np.array(values) for job, values in windows.items()})
+    validate_schedule(instance, schedule)
+    assert_exchange_optimal(instance, schedule, np.array([1.0, 0.0, 2.5, 0.5]))
 
 
 def test_top_level_that_routes_one_step_lower():
     run_optimized("""
-        # A pooled level far above the water routes, and so does the one below.
-        flatten._min_int_level = lambda basins, volume: 10**15
+        # A pooled level far above the water routes even one grid step below.
+        flatten._pooled_levels = lambda basins, rows, volumes: np.full(len(volumes), 10**15)
 
         def fault():
             flatten.solve_flatten(flatten.FlattenProblem(instance))
@@ -73,7 +100,7 @@ def test_top_level_that_routes_one_step_lower():
 def test_group_shares_that_never_route():
     run_optimized("""
         # Zero shares route nothing, so the cut takes in the whole group.
-        flatten._apportion = lambda raw, total: np.zeros(len(raw), dtype=np.int64)
+        flatten._apportion = lambda raw, rows, totals: np.zeros(len(raw), dtype=np.int64)
 
         def fault():
             flatten.solve_flatten(flatten.FlattenProblem(instance))
@@ -85,13 +112,13 @@ def test_group_shares_that_never_route_beside_a_routing_block():
         # Two groups share a level: the first one's zero shares route
         # nothing while the second one's route in the same max flow.
         exact = flatten._apportion
-        groups = []
 
-        def first_group_routes_nothing(raw, total):
-            groups.append(total)
-            if len(groups) == 1:
-                return np.zeros(len(raw), dtype=np.int64)
-            return exact(raw, total)
+        def first_group_routes_nothing(raw, rows, totals):
+            if len(np.unique(rows)) != 2:
+                raise SystemExit("the two groups are not apportioned together")
+            shares = exact(raw, rows, totals)
+            shares[rows == rows[0]] = 0
+            return shares
 
         flatten._apportion = first_group_routes_nothing
         halves = Instance(horizon, (
@@ -112,11 +139,11 @@ def test_allocation_that_misses_a_job():
         exact = flatten.max_flow
 
         def one_unit_moved(network, capacities):
-            value, flows = exact(network, capacities)
-            into = network.job_arcs().start + np.flatnonzero(network.arc_interval == 1)
-            if value == capacities[network.source_arcs()].sum() and len(into) == 2:
-                flows[into] += [-1, 1]
-            return value, flows
+            result = exact(network, capacities)
+            into = network._forward[network.job_arcs().start + np.flatnonzero(network.arc_interval == 1)]
+            if result.flow_value == capacities[network.source_arcs()].sum() and len(into) == 2:
+                result.flow.data[into] += [-1, 1]
+            return result
 
         flatten.max_flow = one_unit_moved
 
@@ -128,21 +155,21 @@ def test_allocation_that_misses_a_job():
 def test_integer_water_fill_without_a_level():
     run_optimized("""
         def fault():
-            flatten._min_int_level(np.array([1, 2]), 0)
+            flatten._pooled_levels(np.array([1, 2]), np.array([0, 0]), np.array([0]))
     """, "found no level")
 
 
 def test_integer_water_fill_without_basins():
     run_optimized("""
         def fault():
-            flatten._min_int_level(np.array([], dtype=np.int64), 5)
+            flatten._pooled_levels(np.array([], dtype=np.int64), np.array([], dtype=np.int64), np.array([5]))
     """, "found no level")
 
 
 def test_negative_apportion_total():
     run_optimized("""
         def fault():
-            flatten._apportion(np.array([0.5, 0.5]), -1)
+            flatten._apportion(np.array([0.5, 0.5]), np.array([0, 0]), np.array([-1]))
     """, "negative total")
 
 
@@ -161,7 +188,8 @@ def test_completed_square_drift():
 def test_short_extraction():
     run_optimized("""
         # Every max flow comes back empty, so the feasibility probe routes nothing.
-        flow.max_flow = lambda network, capacities: (0, np.zeros(network.arc_count, dtype=np.int64))
+        exact = flow.max_flow
+        flow.max_flow = lambda network, capacities: exact(network, np.zeros_like(capacities))
 
         def fault():
             capped = Instance(horizon, instance.jobs, caps_kwh=np.full(4, 10.0))
@@ -182,7 +210,7 @@ def test_greedy_cuts_that_take_in_nothing():
     run_optimized("""
         # No cut: every job stays with the cheaper half until a leaf of one
         # interval is left with all of the energy.
-        flow.residual_reachable = lambda network, capacities, flows: np.zeros(
+        flow.residual_reachable = lambda network, capacities, result: np.zeros(
             network.node_count, dtype=bool
         )
     """ + CAPPED, "a leaf share of 700000000 lies outside [0, 300000000]")
@@ -192,7 +220,7 @@ def test_greedy_cuts_that_take_in_everything():
     run_optimized("""
         # Every cut takes in everything, so the last leaf owes its full
         # intervals more than its jobs have left.
-        flow.residual_reachable = lambda network, capacities, flows: np.ones(
+        flow.residual_reachable = lambda network, capacities, result: np.ones(
             network.node_count, dtype=bool
         )
     """ + CAPPED, "a leaf share of -100000000 lies outside [0, 200000000]")
@@ -202,7 +230,7 @@ def test_greedy_spill_past_a_cap():
     run_optimized("""
         # Cuts of jobs alone: both jobs spill their full rate into both
         # open intervals, 4 kWh into each 3 kWh cap.
-        def jobs_only(network, capacities, flows):
+        def jobs_only(network, capacities, result):
             mask = np.zeros(network.node_count, dtype=bool)
             mask[network.job_nodes()] = True
             return mask
@@ -220,7 +248,7 @@ def test_greedy_targets_that_do_not_route():
         def short_extraction(network, capacities):
             networks.append(network)
             if networks.count(networks[0]) == 2:
-                return 0, np.zeros(network.arc_count, dtype=np.int64)
+                return exact(network, np.zeros_like(capacities))
             return exact(network, capacities)
 
         flow.max_flow = short_extraction

@@ -134,6 +134,23 @@ class TestSchedule:
             recomputed = aggregate(schedule)
             assert recomputed.tobytes() == schedule.aggregate_kwh.tobytes()
 
+    def test_aggregate_matches_slice_by_slice_sums(self):
+        # Each interval adds its jobs' energies in job order, as a loop of
+        # slice additions does, bit for bit.
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            instance = random_instance(rng, max_jobs=12, max_intervals=30)
+            allocations = {
+                job.id: rng.uniform(0.0, job.max_rate_kwh, job.departure - job.arrival)
+                * 10.0 ** rng.integers(-6, 4)
+                for job in instance.jobs
+            }
+            expected = np.zeros(instance.interval_count)
+            for job in instance.jobs:
+                expected[job.arrival : job.departure] += allocations[job.id]
+            schedule = Schedule.build(instance, allocations)
+            assert schedule.aggregate_kwh.tobytes() == expected.tobytes()
+
 
 class TestValidateSchedule:
     def _simple(self):
