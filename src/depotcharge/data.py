@@ -84,12 +84,18 @@ def _format(value: float) -> str:
 def _read_rows(path: str | Path, required: Sequence[str]) -> list[dict[str, str]]:
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        header = reader.fieldnames
+        if header is None:
             raise SchemaError(f"{path}: file is empty")
-        missing = [name for name in required if name not in reader.fieldnames]
+        missing = [name for name in required if name not in header]
         if missing:
             raise SchemaError(f"{path}: missing columns {missing}")
-        rows = list(reader)
+        rows = []
+        for row in reader:
+            # Surplus cells go under the key None; missing cells hold None.
+            if None in row or None in row.values():
+                raise SchemaError(f"{path}: a row needs {len(header)} cells", row=reader.line_num)
+            rows.append(row)
     if not rows:
         raise SchemaError(f"{path}: no data rows")
     return rows

@@ -36,11 +36,11 @@ disjoint blocks: one max flow decides every probe and every group check,
 and one residual search reads every block's cut.  The pooled levels,
 water fills and apportioning run for every block of a level at once,
 one row per block.  All of it runs on the instance's integer grid
-(:func:`~depotcharge.flow.grid`), and the schedule is read off the
-decomposition itself: the spills of the cuts and the flows of the group
-checks that route deliver every grid unit, which is checked job by job
-and interval by interval.  The aggregate profile is unique even though
-the per-job decomposition is not.
+(:func:`~depotcharge.flow.grid`).  The schedule is read off the cuts
+as capped CO2 reads its flow (:func:`~depotcharge.flow.read_cut`): the
+spills and the flows of the group checks that route deliver every grid
+unit, which is checked job by job and interval by interval.  The
+aggregate profile is unique even though the per-job decomposition is not.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import SolverError
 from .flow import (
-    JobIntervalNetwork, _repair_delivery, block_level, grid, max_flow, residual_reachable, row_sums,
+    JobIntervalNetwork, block_level, grid, max_flow, read_cut, read_schedule, residual_reachable, row_sums,
 )
 from .model import BaseloadSeries, Instance, Schedule
 
@@ -113,16 +113,13 @@ def solve_flatten(problem: FlattenProblem) -> Schedule:
     network, scale, e_int, l_int, _ = grid(instance, float(np.abs(base_f).sum()))
     target_int, flows = _peel_targets(network, energies, rates, e_int, l_int, base_f, scale)
     arcs = flows[network.job_arcs()]
-    delivered = np.add.reduceat(arcs, np.cumsum(network.widths) - network.widths)
     within = (arcs >= 0) & (arcs <= np.repeat(l_int, network.widths))
-    if np.any(delivered != e_int) or np.any(network.reach(flows) != target_int) or not within.all():
+    missed = np.any(network.delivered(flows) != e_int) or np.any(network.reach(flows) != target_int)
+    if missed or not within.all():
         raise SolverError("the allocation read off the cuts misses an energy, a target or a rate")
-    windows = network.job_windows(flows / scale)
-    allocations = {job.id: values for job, values in zip(jobs, windows)}
     # Residuals go to the lowest current totals first.
     totals = base_f.copy()
-    _repair_delivery(instance, allocations, totals, totals)
-    return Schedule.build(instance, allocations)
+    return read_schedule(instance, network, flows, scale, totals, totals)
 
 
 def _table(values: np.ndarray, rows: np.ndarray, count: int, pad) -> np.ndarray:
@@ -212,8 +209,6 @@ def _peel_targets(
     target_int = np.zeros(m, dtype=np.int64)
     shares = np.zeros(m, dtype=np.int64)
     allocation = np.zeros(whole.arc_count, dtype=np.int64)
-    # The arc of job k into interval i is whole_first[k] + i.
-    whole_first = whole.job_count + np.cumsum(whole.widths) - whole.widths - whole.starts
     # Each live job and interval carries its block's label; checks[label]
     # marks a group whose shares must route, the rest probe a level.  The
     # first blocks are the chains of overlapping windows, which share no
@@ -252,26 +247,21 @@ def _peel_targets(
         done = checking & routes
         target_int[ints[done[int_pos]]] += shares[ints[done[int_pos]]]
 
-        # The source side of a cut is each block's high part.  Its jobs
-        # saturate their rate into every window interval left outside;
-        # that spill is immovable and becomes baseload for the rest.
-        reachable = residual_reachable(network, capacities, result)
-        cut_job, cut_int = reachable[network.job_nodes()], reachable[network.interval_nodes()]
+        # The source side of a cut is each block's high part.  Its jobs'
+        # spill into the window intervals left outside is immovable and
+        # becomes baseload for the rest; it and the flows of the groups
+        # that route are final.
+        cut_job, cut_int, spill_jobs, spill_ints = read_cut(
+            whole, network, jobs, ints, residual_reachable(network, capacities, result), flows,
+            done[job_pos], allocation,
+        )
         entire = np.bincount(int_pos[~cut_int], minlength=len(labels)) == 0
         if np.any(checking & ~routes & entire):
             raise SolverError("the cut at a group's shares failed to advance")
-        # Arcs are job-major, so each interval takes its spills in job order.
-        spill = cut_job[network.arc_job] & ~cut_int[network.arc_interval]
-        spill_jobs = jobs[network.arc_job[spill]]
-        spill_ints = ints[network.arc_interval[spill]]
         np.add.at(spilled, spill_jobs, 1)
         np.add.at(target_int, spill_ints, l_int[spill_jobs])
         np.add.at(b_eff_i, spill_ints, l_int[spill_jobs])
         np.add.at(b_eff_f, spill_ints, rates[spill_jobs])
-        # The spills and the flows of the groups that route are final.
-        taken = np.flatnonzero(spill | done[job_pos[network.arc_job]])
-        whole_arc = whole_first[jobs[network.arc_job[taken]]] + ints[network.arc_interval[taken]]
-        allocation[whole_arc] = flows[network.job_count + taken]
 
         # Each probe's cut side is water-filled on its own baseload valleys,
         # lowest first.  A cut side whose level lies below X + 1 grid units
@@ -303,4 +293,4 @@ def _peel_targets(
         int_block[ints] = np.where(done[int_pos], -1, 2 * int_pos + cut_int)
         checks = np.repeat(grouped, 2) & np.tile([False, True], len(labels))
         # Held while block_level builds the next level, they set the memory peak.
-        del network, result, whole_arc, taken, spill
+        del network, result

@@ -17,13 +17,13 @@ each sink arc capped by the aggregate cap (or an amount that never
 binds, when the instance has no caps) and paying the interval's emission
 factor per unit.  The loads the intervals can take form a polymatroid
 whose rank is a max flow, so capped instances are solved by Edmonds'
-greedy.  Its rank increments come from a divide and conquer over the
-cost ranks whose every level is one network of disjoint blocks
-(:func:`block_level`, which flattening shares), at most 2 + ceil(log2 m)
-max flows in all, and every such solve is checked by the optimality
-certificate (:func:`verify_optimality`), one Dijkstra search from the
-sink since costs sit on the sink arcs only; without caps the problem
-separates per job and is filled greedily.
+greedy over a divide and conquer on the cost ranks, whose levels are
+networks of disjoint blocks (:func:`block_level`).  As flattening does,
+it reads its flow off the levels' cuts (:func:`read_cut`): a feasibility
+max flow and one per level, at most 2 + ceil(log2 m).  The optimality
+certificate (:func:`verify_optimality`) checks every such flow with one
+Dijkstra search from the sink, since costs sit on the sink arcs only;
+without caps the problem separates per job and is filled greedily.
 
 Every max-flow solve, flattening's included, runs on one integer grid
 chosen by :func:`grid`: the largest power of ten of units per kWh that
@@ -31,8 +31,8 @@ keeps the kernel's capacities and flattening's level sums in range.
 Rates and caps snap to the grid or are floored, energies round to
 nearest within what the floored rates can deliver, and emission factors
 sit at 1e-6 kg/kWh resolution.  The solvers are exact for inputs on the
-grid; off-grid inputs are repaired back to exact delivery after
-extraction, a sub-unit adjustment covered by the validator tolerance.
+grid; :func:`read_schedule` repairs off-grid inputs back to exact
+delivery, a sub-unit adjustment covered by the validator tolerance.
 """
 
 from __future__ import annotations
@@ -205,11 +205,15 @@ class JobIntervalNetwork:
         """Arc capacities from per-job supplies and rates and per-interval sinks."""
         return np.concatenate([supply, np.repeat(rate, self.widths), sink]).astype(np.int64)
 
-    def reach(self, capacities: np.ndarray) -> np.ndarray:
-        """Per-interval sum of the job-arc capacities into each interval."""
+    def reach(self, arc_values: np.ndarray) -> np.ndarray:
+        """Per-interval sum of an arc array's job arcs into each interval."""
         return np.bincount(
-            self.arc_interval, weights=capacities[self.job_arcs()], minlength=self.interval_count
+            self.arc_interval, weights=arc_values[self.job_arcs()], minlength=self.interval_count
         ).astype(np.int64)
+
+    def delivered(self, arc_values: np.ndarray) -> np.ndarray:
+        """Per-job sum of an arc array's job arcs out of each job."""
+        return np.bincount(self.arc_job, arc_values[self.job_arcs()], self.job_count).astype(np.int64)
 
     def arc_flows(self, result) -> np.ndarray:
         """The flow per arc, in arc order, of a :func:`max_flow` result."""
@@ -253,6 +257,28 @@ def block_level(starts, stops, job_block: np.ndarray, int_block: np.ndarray) -> 
     return network, jobs, ints, labels, job_start, job_pos, np.searchsorted(labels, int_block[ints])
 
 
+def read_cut(whole: JobIntervalNetwork, level: JobIntervalNetwork, jobs, ints, reachable, level_flows,
+             finished, flows: np.ndarray) -> tuple:
+    """Read the residual cut ``reachable`` of a :func:`block_level` network,
+    whose nodes are ``whole``'s ``jobs`` and ``ints``, and keep its final flows.
+
+    A max flow saturates its cut, so each cut job fills every window
+    interval of its block outside the cut at full rate.  That spill is
+    immovable, as is every ``level_flows`` arc of a job ``finished``
+    with its block: both go into ``flows``, in ``whole``'s arc order.
+    Returns the cut masks of the level's jobs and intervals and the job
+    and interval of ``whole`` of each spill, job-major.
+    """
+    cut_job, cut_int = reachable[level.job_nodes()], reachable[level.interval_nodes()]
+    spill = cut_job[level.arc_job] & ~cut_int[level.arc_interval]
+    taken = np.flatnonzero(spill | finished[level.arc_job])
+    # The arc of job k into interval i is first[k] + i.
+    first = whole.job_count + np.cumsum(whole.widths) - whole.widths - whole.starts
+    arcs = first[jobs[level.arc_job[taken]]] + ints[level.arc_interval[taken]]
+    flows[arcs] = level_flows[level.job_count + taken]
+    return cut_job, cut_int, jobs[level.arc_job[spill]], ints[level.arc_interval[spill]]
+
+
 def _grid_scale(top: float, bed: float) -> int:
     """Largest power of ten keeping ``top`` in the kernel and ``bed`` in the level sums."""
     if top > _KERNEL_BUDGET:
@@ -276,7 +302,7 @@ def grid(
     int64 level sums.  Rates and caps (clipped first to the pile-up, the
     sink without caps) snap to the grid or are floored off it, so no
     scaled schedule exceeds them.  Energies round to nearest within the
-    floored rate times the window width; :func:`_repair_delivery`
+    floored rate times the window width; :func:`read_schedule`
     restores the sub-unit rest.
     """
     network = JobIntervalNetwork.from_instance(instance)
@@ -344,18 +370,19 @@ def _polymatroid_greedy(
     hi), the rest [lo, theta), and closed intervals outside the cut are
     done.  A block keeps its intervals ranked below lo open, and they end
     full; a block of one rank gives its last interval the rest of its
-    energy.  The blocks of a level are one network
-    (:func:`block_level`), so a feasibility max flow, one per level and
-    the extraction with sink capacities y make at most 2 + ceil(log2 m)
-    max flows.  Returns the integer flow per network arc; raises
-    InfeasibleError, naming the jobs on the source side of the cut, when
-    the supplies cannot all be routed.
+    energy and routes those targets in its level's max flow.  The blocks
+    of a level are one network (:func:`block_level`), and the flow is
+    read off the cuts' spills and the routed blocks of one rank
+    (:func:`read_cut`): a feasibility max flow on the whole network and
+    one per level, at most 2 + ceil(log2 m).  Returns the integer flow
+    per network arc; raises InfeasibleError, naming the jobs on the
+    source side of the cut, when the supplies cannot all be routed, and
+    SolverError when the flow misses a job's energy.
     """
     sink_arcs = network.sink_arcs()
     supply = capacities[network.source_arcs()]
     rate = np.zeros(network.job_count, dtype=np.int64)
     rate[network.arc_job] = capacities[network.job_arcs()]
-    total = int(supply.sum())
     # A cap beyond the summed rates into its interval never binds;
     # clipping it keeps huge caps inside the kernel range.
     caps = np.minimum(capacities[sink_arcs], network.reach(capacities))
@@ -373,7 +400,7 @@ def _polymatroid_greedy(
     rank[np.argsort(costs[sink_arcs], kind="stable")] = np.arange(m)
     remaining = supply.copy()
     headroom = caps.copy()
-    targets = np.zeros(m, dtype=np.int64)
+    flows = np.zeros(network.arc_count, dtype=np.int64)
     job_block = np.zeros(network.job_count, dtype=np.int64)
     int_block = np.zeros(m, dtype=np.int64)
     lo, hi = np.array([0]), np.array([m])
@@ -389,52 +416,37 @@ def _polymatroid_greedy(
         leaf = high - low == 1
         volume = np.add.reduceat(remaining[jobs], job_start)
 
-        # A block of one rank fills its intervals ranked below it and
-        # gives the interval of its rank the rest.
-        full = rank[ints] < low[int_pos]
-        last = rank[ints] == low[int_pos]
-        below = np.zeros(len(labels), dtype=np.int64)
-        np.add.at(below, int_pos[full], headroom[ints[full]])
-        room = np.zeros(len(labels), dtype=np.int64)
-        room[int_pos[last]] = headroom[ints[last]]
+        # Every block probes with its intervals ranked below theta open.  A
+        # block of one rank has theta at its rank: it fills those intervals
+        # and routes the rest of its energy into the interval of its rank.
+        opened = rank[ints] < mid[int_pos]
+        last = leaf[int_pos] & (rank[ints] == low[int_pos])
+        below = np.bincount(int_pos[opened], headroom[ints[opened]], len(labels)).astype(np.int64)
+        room = np.bincount(int_pos[last], headroom[ints[last]], len(labels)).astype(np.int64)
         share = volume - below
         wrong = np.flatnonzero(leaf & ((share < 0) | (share > room)))
         if len(wrong):
-            b = wrong[0]
-            raise SolverError(f"a leaf share of {share[b]} lies outside [0, {room[b]}]")
-        settled = leaf[int_pos]
-        targets[ints[settled & full]] += headroom[ints[settled & full]]
-        targets[ints[settled & last]] += share[int_pos[settled & last]]
-
-        if leaf.all():
-            break
-
-        # The other blocks probe with their intervals ranked below theta
-        # open; leaves sit the max flow out with no supply, so none of
-        # their nodes is reachable.
-        opened = rank[ints] < mid[int_pos]
-        level_caps = level.capacities(
-            np.where(leaf[job_pos], 0, remaining[jobs]), rate[jobs], np.where(opened, headroom[ints], 0)
+            raise SolverError(f"a leaf share of {share[wrong[0]]} lies outside [0, {room[wrong[0]]}]")
+        sink = np.where(opened, headroom[ints], np.where(last, share[int_pos], 0))
+        level_caps = level.capacities(remaining[jobs], rate[jobs], sink)
+        result = max_flow(level, level_caps)
+        cut_job, cut_int, spill_jobs, spill_ints = read_cut(
+            network, level, jobs, ints, residual_reachable(level, level_caps, result),
+            level.arc_flows(result), leaf[job_pos], flows,
         )
-        reachable = residual_reachable(level, level_caps, max_flow(level, level_caps))
-        cut_job, cut_int = reachable[level.job_nodes()], reachable[level.interval_nodes()]
-        spill = cut_job[level.arc_job] & ~cut_int[level.arc_interval]
-        spill_jobs = jobs[level.arc_job[spill]]
-        spill_ints = ints[level.arc_interval[spill]]
         np.subtract.at(remaining, spill_jobs, rate[spill_jobs])
-        np.add.at(targets, spill_ints, rate[spill_jobs])
         np.subtract.at(headroom, spill_ints, rate[spill_jobs])
         if np.any(headroom[spill_ints] < 0):
             raise SolverError("the spill of a cut overfills an interval")
         job_block[jobs] = np.where(leaf[job_pos], -1, 2 * job_pos + cut_job)
-        int_block[ints] = np.where(settled | ~(opened | cut_int), -1, 2 * int_pos + cut_int)
+        int_block[ints] = np.where(leaf[int_pos] | ~(opened | cut_int), -1, 2 * int_pos + cut_int)
         lo, hi = np.stack([low, mid], axis=1).ravel(), np.stack([mid, high], axis=1).ravel()
 
-    probe[sink_arcs] = targets
-    result = max_flow(network, probe)
-    if result.flow_value < total:
-        raise SolverError(f"the greedy targets do not route: {result.flow_value} of {total} grid units")
-    return network.arc_flows(result)
+    flows[network.source_arcs()] = network.delivered(flows)
+    flows[sink_arcs] = network.reach(flows)
+    if np.any(flows[network.source_arcs()] != supply):
+        raise SolverError("the flow read off the cuts misses a job's energy")
+    return flows
 
 
 @dataclass(frozen=True)
@@ -539,32 +551,26 @@ def row_sums(values: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
     return np.add.reduceat(padded, np.cumsum(lengths) - lengths + np.arange(count))
 
 
-def _repair_delivery(
-    instance: Instance,
-    allocations: dict[str, np.ndarray],
-    key: np.ndarray,
-    load: np.ndarray,
-) -> None:
-    """Push sub-grid extraction residuals back into exact delivery.
+def read_schedule(
+    instance: Instance, network: JobIntervalNetwork, flows: np.ndarray, scale: int, key, load
+) -> Schedule:
+    """The schedule of an integer flow per arc of the instance's :func:`grid`.
 
-    Only inputs off the integer grid need this; the adjustment per job is
-    below half a grid unit.  A positive residual goes to the window
-    intervals with the lowest ``key`` that have rate (and cap) headroom, a
-    negative one comes out of the highest.  ``load`` is the per-interval
-    load under the charging; the allocations and every step are added to
-    it in place, and caps bound it.  The minimum-CO2 solver orders by
-    emission factor over a zero load; flattening passes its totals as both
-    key and load, so its order follows the steps.
+    Each job charges its job arcs' flow in kWh.  Only inputs off the
+    grid miss exact delivery, by below half a grid unit per job, and that
+    rest is pushed back: a positive one goes to the window intervals with
+    the lowest ``key`` that have rate (and cap) headroom, a negative one
+    comes out of the highest.  ``load`` is the per-interval load under
+    the charging; the windows and every step are added to it in place,
+    and caps bound it.  The minimum-CO2 solver orders by emission factor
+    over a zero load; flattening passes its totals as both key and load,
+    so its order follows the steps.
     """
-    caps = instance.caps_kwh
-    jobs = instance.jobs
-    if not jobs:
-        return
-    windows = [allocations[job.id] for job in jobs]
+    jobs, caps, kwh = instance.jobs, instance.caps_kwh, flows / scale
+    windows = network.job_windows(kwh)
     add_windows(load, [job.arrival for job in jobs], windows)
     # Only the jobs whose windows miss their energy enter the loop.
-    rows = np.repeat(np.arange(len(jobs)), [len(values) for values in windows])
-    sums = row_sums(np.concatenate(windows), rows, len(jobs))
+    sums = row_sums(kwh[network.job_arcs()], network.arc_job, len(jobs))
     energies = np.array([job.energy_kwh for job in jobs])
     for k in np.flatnonzero(np.abs(energies - sums) >= 1e-12):
         job, values = jobs[k], windows[k]
@@ -593,6 +599,7 @@ def _repair_delivery(
             raise InfeasibleError(
                 f"job {job.id!r}: cannot restore exact delivery after integer scaling"
             )
+    return Schedule.build(instance, {job.id: values for job, values in zip(jobs, windows)})
 
 
 def solve_min_co2(instance: Instance, emissions: EmissionSeries) -> Schedule:
@@ -618,10 +625,8 @@ def solve_min_co2(instance: Instance, emissions: EmissionSeries) -> Schedule:
             f"min-cost flow is not optimal: residual cycle {certificate.witness_cycle} "
             "has negative cost"
         )
-    windows = network.job_windows(flows / scale)
-    allocations = {job.id: values for job, values in zip(instance.jobs, windows)}
-    _repair_delivery(instance, allocations, emissions.kg_per_kwh, np.zeros(instance.interval_count))
-    return Schedule.build(instance, allocations)
+    zero = np.zeros(instance.interval_count)
+    return read_schedule(instance, network, flows, scale, emissions.kg_per_kwh, zero)
 
 
 def max_flow(network: JobIntervalNetwork, capacities: np.ndarray):

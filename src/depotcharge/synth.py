@@ -194,10 +194,10 @@ def synth_timetable(
         return lines
 
     lines: list[LineRecord] = []
-    weekday_draw: list[LineRecord] | None = None
+    # Day 0 comes first, so its draw is in place before days 1-3 copy it.
+    weekday_draw: list[LineRecord] = []
     for day, count in enumerate(profile.lines_per_day):
         if profile.weekdays_identical and 0 < day <= 3:
-            assert weekday_draw is not None
             lines.extend(
                 LineRecord(
                     line_id=line.line_id,

@@ -316,6 +316,15 @@ class TestErrorReporting:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_timetable_row_with_missing_cells(self, tmp_path, capsys):
+        timetable = tmp_path / "timetable.csv"
+        timetable.write_text("day,line_id,start,end,bus_type,soc_after_kwh\n0,l1,06:00,20:00\n")
+        rc = main(["week", "--out-dir", str(tmp_path / "o"), "--timetable", str(timetable)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "(row 2)" in err
+        assert "Traceback" not in err
+
 
 def test_package_runs_as_a_module_without_warnings():
     # ``python -m depotcharge.cli`` warns that the package has already

@@ -127,6 +127,12 @@ class TestLoadEmissions:
         with pytest.raises(SchemaError):
             load_emissions(path, make_horizon(4))
 
+    def test_row_without_a_value_is_a_schema_error(self, tmp_path):
+        path = emissions_csv(tmp_path, [f"{stamp(0)},0.4\n", f"{stamp(1)}\n"])
+        with pytest.raises(SchemaError, match="a row needs 2 cells") as excinfo:
+            load_emissions(path, make_horizon(8))
+        assert excinfo.value.row == 3
+
 
 class TestLoadBaseload:
     def test_loads_interval_energies(self, tmp_path):
@@ -143,6 +149,23 @@ class TestLoadBaseload:
         )
         with pytest.raises(SchemaError):
             load_baseload(path, make_horizon(8))
+
+    def test_row_with_a_surplus_cell_is_a_schema_error(self, tmp_path):
+        path = tmp_path / "base.csv"
+        path.write_text(
+            "timestamp,baseload_kwh\n" + f"{stamp(0)},5\n\n" + f"{stamp(0.25)},6,7\n"
+        )
+        # Line 3 is blank; the row with a surplus cell is line 4.
+        with pytest.raises(SchemaError, match="a row needs 2 cells") as excinfo:
+            load_baseload(path, make_horizon(2))
+        assert excinfo.value.row == 4
+
+    def test_row_without_a_value(self, tmp_path):
+        path = tmp_path / "base.csv"
+        path.write_text("timestamp,baseload_kwh\n" + f"{stamp(0)},5\n" + f"{stamp(0.25)}\n")
+        with pytest.raises(SchemaError) as excinfo:
+            load_baseload(path, make_horizon(2))
+        assert excinfo.value.row == 3
 
     def test_round_trip_conserves_energy(self, tmp_path):
         rng = np.random.default_rng(51)
@@ -244,6 +267,17 @@ class TestTimetable:
         with pytest.raises(SchemaError) as excinfo:
             load_timetable(path)
         assert excinfo.value.row == 2
+
+    def test_row_with_missing_cells_is_a_schema_error(self, tmp_path):
+        path = tmp_path / "timetable.csv"
+        path.write_text(
+            "day,line_id,start,end,bus_type,soc_after_kwh\n"
+            "0,l1,07:00,18:00,SMALL,40.0\n"
+            "0,l2,06:00,20:00\n"
+        )
+        with pytest.raises(SchemaError, match="a row needs 6 cells") as excinfo:
+            load_timetable(path)
+        assert excinfo.value.row == 3
 
     def test_bad_clock_time(self, tmp_path):
         path = tmp_path / "timetable.csv"

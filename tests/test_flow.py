@@ -260,7 +260,8 @@ class TestSolveMinCo2:
         assert co2_total(schedule, emissions) == pytest.approx(reference.objective, rel=1e-9)
 
     def test_capped_solve_takes_a_max_flow_per_level(self, monkeypatch):
-        # Feasibility, one per level of the rank halving, and the extraction.
+        # Feasibility and one per level of the rank halving, in which the
+        # blocks of one rank route their own targets.
         calls = []
         exact = flow.max_flow
         monkeypatch.setattr(flow, "max_flow", lambda *args: calls.append(args) or exact(*args))
@@ -272,8 +273,9 @@ class TestSolveMinCo2:
             assert 0 < len(calls) <= 2 + math.ceil(math.log2(instance.interval_count))
 
     def test_week_cap_takes_twelve_max_flows(self, monkeypatch):
-        # 672 intervals halve in ten levels: 1 + 10 + 1 max flows, where
-        # one per prefix of the cost order would take m + 1 = 673.
+        # 672 intervals halve in ten levels to blocks of one rank: 1 + 10 + 1
+        # max flows with feasibility, where one per prefix of the cost
+        # order would take m + 1 = 673.
         calls = []
         exact = flow.max_flow
         monkeypatch.setattr(flow, "max_flow", lambda *args: calls.append(args) or exact(*args))
@@ -283,6 +285,23 @@ class TestSolveMinCo2:
         schedule = flow.solve_min_co2(instance, sinusoid_emissions(horizon))
         validate_schedule(instance, schedule)
         assert 0 < len(calls) <= 12
+
+    def test_whole_network_goes_to_the_kernel_once(self, monkeypatch):
+        # Only the feasibility check runs on the whole network; the flow
+        # is read off the levels' cuts, with no extraction max flow.
+        built, calls = [], []
+        exact_build, exact_flow = flow.build_network, flow.max_flow
+        monkeypatch.setattr(flow, "build_network", lambda *args: built.append(exact_build(*args)) or built[-1])
+        monkeypatch.setattr(flow, "max_flow", lambda *args: calls.append(args[0]) or exact_flow(*args))
+        rng = np.random.default_rng(53)
+        for _ in range(10):
+            instance = random_instance(rng, with_caps=True)
+            built.clear()
+            calls.clear()
+            flow.solve_min_co2(instance, emission_series(rng, instance.interval_count))
+            whole = built[0][0]
+            assert [network is whole for network in calls].count(True) == 1
+            assert calls[0] is whole
 
     def test_replicated_week_matches_reference_lp(self):
         # The seed-0 roster twice over (420 jobs) under a 300 kWh cap per
@@ -344,7 +363,7 @@ def prefix_rank_greedy(network, capacities, costs):
 
 
 def greedy_matches_prefix_ranks(instance: Instance, emissions: flow.EmissionSeries) -> bool:
-    """Both greedies return the same flow (True) or both refuse (False)."""
+    """Both greedies load the intervals alike (True) or both refuse (False)."""
     network, _, capacities, costs = flow.build_network(instance, emissions)
     try:
         expected = prefix_rank_greedy(network, capacities, costs)
@@ -353,7 +372,14 @@ def greedy_matches_prefix_ranks(instance: Instance, emissions: flow.EmissionSeri
             flow._polymatroid_greedy(network, capacities, costs, [job.id for job in instance.jobs])
         return False
     flows = flow._polymatroid_greedy(network, capacities, costs, [job.id for job in instance.jobs])
-    assert np.array_equal(flows, expected)
+    # The sink-arc flows are the greedy's increments; the per-job split
+    # is one decomposition among many.
+    sink, source = network.sink_arcs(), network.source_arcs()
+    np.testing.assert_array_equal(flows[sink], expected[sink])
+    assert np.all((flows >= 0) & (flows <= capacities))
+    np.testing.assert_array_equal(flows[source], capacities[source])
+    np.testing.assert_array_equal(network.delivered(flows), flows[source])
+    np.testing.assert_array_equal(network.reach(flows), flows[sink])
     return True
 
 

@@ -6,6 +6,7 @@ rather than a wrong result or a hang, or, where a fault is one the
 solver recovers from, a schedule that passes the checks.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -57,6 +58,17 @@ else:
     )
     assert result.returncode == 0, result.stderr + result.stdout
     assert result.stdout.startswith("refused:") and expected in result.stdout
+
+
+def test_no_assert_statement_in_the_package():
+    # ``python -O`` strips assert statements, so none may guard anything.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "depotcharge").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert statements at {found}"
 
 
 def test_stalled_level_search():
@@ -239,20 +251,49 @@ def test_greedy_spill_past_a_cap():
     """ + CAPPED, "overfills")
 
 
-def test_greedy_targets_that_do_not_route():
+def test_greedy_leaf_that_does_not_route():
     run_optimized("""
-        # The extraction, the second max flow on the whole network, comes back empty.
+        # The fourth max flow, the level of blocks of one rank, comes back
+        # empty, so the leaves' jobs deliver nothing there.
         exact = flow.max_flow
-        networks = []
+        calls = []
 
-        def short_extraction(network, capacities):
-            networks.append(network)
-            if networks.count(networks[0]) == 2:
+        def short_leaves(network, capacities):
+            calls.append(network)
+            if len(calls) == 4:
                 return exact(network, np.zeros_like(capacities))
             return exact(network, capacities)
 
-        flow.max_flow = short_extraction
-    """ + CAPPED, "targets do not route")
+        flow.max_flow = short_leaves
+    """ + CAPPED, "misses a job's energy")
+
+
+def test_greedy_read_off_that_drops_a_spill():
+    run_optimized("""
+        # The first spill of job b into interval 1 is left out of the flow,
+        # so b delivers one rate short.
+        exact = flow.read_cut
+        dropped = []
+
+        def one_spill_dropped(whole, level, jobs, ints, reachable, level_flows, finished, flows):
+            cut = exact(whole, level, jobs, ints, reachable, level_flows, finished, flows)
+            if len(cut[2]) and not dropped:
+                job_arcs = np.flatnonzero((whole.arc_job == cut[2][0]) & (whole.arc_interval == cut[3][0]))
+                dropped.append(whole.job_count + job_arcs)
+                flows[dropped[0]] = 0
+            return cut
+
+        flow.read_cut = one_spill_dropped
+        spilling = Instance(horizon, (
+            Job(id="a", arrival=0, departure=2, energy_kwh=4.0, max_rate_kwh=2.0),
+            Job(id="b", arrival=1, departure=4, energy_kwh=5.0, max_rate_kwh=2.0),
+        ), caps_kwh=np.full(4, 4.0))
+
+        def fault():
+            flow.solve_min_co2(spilling, EmissionSeries(np.array([0.1, 0.2, 0.3, 0.4])))
+            if not dropped:
+                raise SystemExit("no spill to drop")
+    """, "misses a job's energy")
 
 
 def test_dearer_flow_fails_the_certificate():
