@@ -81,7 +81,12 @@ def _format(value: float) -> str:
     return repr(float(value))
 
 
-def _read_rows(path: str | Path, required: Sequence[str]) -> list[dict[str, str]]:
+def _read_rows(path: str | Path, required: Sequence[str]) -> list[tuple[int, dict[str, str]]]:
+    """The data rows of a CSV file, each with its line number in the file.
+
+    Blank lines are skipped, so a row's line number is counted by the
+    reader, not from its index.
+    """
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames
@@ -95,7 +100,7 @@ def _read_rows(path: str | Path, required: Sequence[str]) -> list[dict[str, str]
             # Surplus cells go under the key None; missing cells hold None.
             if None in row or None in row.values():
                 raise SchemaError(f"{path}: a row needs {len(header)} cells", row=reader.line_num)
-            rows.append(row)
+            rows.append((reader.line_num, row))
     if not rows:
         raise SchemaError(f"{path}: no data rows")
     return rows
@@ -129,8 +134,7 @@ def _uniform_series(
         raise SchemaError(f"{path}: need at least two rows to establish the step")
     stamps = []
     values = []
-    for k, row in enumerate(rows):
-        line_no = k + 2  # header is line 1
+    for line_no, row in rows:
         stamps.append(_parse_timestamp(row["timestamp"], line_no))
         value = _parse_float(row[value_column], line_no, value_column)
         if not np.isfinite(value) or value < 0:
@@ -145,12 +149,12 @@ def _uniform_series(
     ]
     step = min(diffs)
     if step <= 0:
-        where = diffs.index(step) + 3
+        where = rows[diffs.index(step) + 1][0]
         raise SchemaError(f"{path}: timestamps not strictly increasing", row=where)
     for k, diff in enumerate(diffs):
         steps = diff / step
         if abs(steps - round(steps)) > 1e-9:
-            raise SchemaError(f"{path}: non-uniform timestamp step", row=k + 3)
+            raise SchemaError(f"{path}: non-uniform timestamp step", row=rows[k + 1][0])
         if round(steps) > 1:
             missing = stamps[k] + timedelta(seconds=step)
             raise CoverageGapError(
@@ -232,8 +236,7 @@ def load_timetable(
     rows = _read_rows(path, TIMETABLE_COLUMNS)
     lines = []
     seen: set[tuple[int, str]] = set()
-    for k, row in enumerate(rows):
-        line_no = k + 2
+    for line_no, row in rows:
         try:
             day = int(row["day"])
         except ValueError:
@@ -369,8 +372,7 @@ def write_report(path: str | Path, reports: Sequence[ScenarioReport]) -> None:
 def read_report(path: str | Path) -> tuple[ScenarioReport, ...]:
     rows = _read_rows(path, REPORT_COLUMNS)
     reports = []
-    for k, row in enumerate(rows):
-        line_no = k + 2
+    for line_no, row in rows:
         pcts = {}
         for column in REPORT_COLUMNS[4:]:
             text = row[column]

@@ -11,36 +11,35 @@ the rest.  Subproblems are blocks, each a set of jobs with their
 remaining energy and the intervals they reach, and a level of the
 divide and conquer holds every block alive:
 
-1. Probe.  On an integer grid, X is the pooled level that fills the
-   block's volume into its baseload valleys, ignoring windows and
-   rates, so no schedule's top level lies below it.  A max-flow probe
-   one grid step lower, with sink capacities ``max(0, X - 1 - b(i))``,
-   therefore never routes, and its source-reachable cut names exactly
-   the jobs and intervals whose level lies above X - 1.
-2. Split.  Cut jobs saturate their rate into every window interval
+1. Relax.  Each block's volume is water-filled over its intervals, each
+   capped at the summed rates of the block's jobs that reach it, and
+   apportioned to integer shares that sum to the volume within the caps.
+   Every schedule of the block satisfies those caps, so the capped fill
+   is optimal for a relaxation of the block.
+2. Route.  A max flow with the shares as sink capacities either routes
+   the whole volume, and the block is done at its relaxation's optimum,
+   or it does not, and its source-reachable cut is a threshold cut at
+   the fill's level X: sink capacities min(cap, max(0, X - b(i))) cut as
+   the unclipped ones do, since a sink arc clipped to the rates into its
+   interval saturates only when its job arcs do.
+3. Split.  Cut jobs saturate their rate into every window interval
    outside the cut; that spill becomes baseload for the rest, and both
-   halves are blocks of the next level.  The rest is probed again.
-3. Group.  The cut side's exact common level is recovered in floating
-   point by water-filling its own baseload valleys.  When that level
-   lies below X + 1 grid units, or the cut holds the whole block, the
-   cut side is one group: its level is apportioned to integer shares,
-   which must route on the group's own block at the next level.  A grid
-   group can join true groups less than a grid step apart, and then the
-   shares' cut splits it again.  Any other cut side is probed again.
+   halves are blocks of the next level.  Any level gives an exact
+   split, so each block takes one max flow per level.
 
 The first level's blocks are the chains of overlapping windows: they
 share no job, so the objective separates across them.  The blocks of a
 level share no job and no interval, so one
 :class:`~depotcharge.flow.JobIntervalNetwork` holds the whole level as
-disjoint blocks: one max flow decides every probe and every group check,
-and one residual search reads every block's cut.  The pooled levels,
-water fills and apportioning run for every block of a level at once,
-one row per block.  All of it runs on the instance's integer grid
-(:func:`~depotcharge.flow.grid`).  The schedule is read off the cuts
-as capped CO2 reads its flow (:func:`~depotcharge.flow.read_cut`): the
-spills and the flows of the group checks that route deliver every grid
-unit, which is checked job by job and interval by interval.  The
-aggregate profile is unique even though the per-job decomposition is not.
+disjoint blocks: one max flow decides every block, and one residual
+search reads every block's cut.  The capped fills run for every block
+of a level at once, one row per block.  All of it runs on the
+instance's integer grid (:func:`~depotcharge.flow.grid`).  The schedule
+is read off the cuts as capped CO2 reads its flow
+(:func:`~depotcharge.flow.read_cut`): the spills and the flows of the
+blocks that route deliver every grid unit, which is checked job by job
+and interval by interval.  The aggregate profile is unique even though
+the per-job decomposition is not.
 """
 
 from __future__ import annotations
@@ -98,7 +97,7 @@ def solve_flatten(problem: FlattenProblem) -> Schedule:
 
     The returned schedule's aggregate is the unique flattening optimum;
     the per-job split is one feasible decomposition among many, the one
-    the cuts' spills and the routed group checks leave.  Raises
+    the cuts' spills and the routed blocks leave.  Raises
     SolverError when that split misses a job's energy, an interval's
     target or a rate bound.
     """
@@ -129,21 +128,6 @@ def _table(values: np.ndarray, rows: np.ndarray, count: int, pad) -> np.ndarray:
     table = np.full((count, lengths.max(initial=1)), pad, dtype=values.dtype)
     table[rows, np.arange(len(rows)) - (np.cumsum(lengths) - lengths)[rows]] = values
     return table
-
-
-def _pooled_levels(basins: np.ndarray, rows: np.ndarray, volumes: np.ndarray) -> np.ndarray:
-    """Per row, the least integer X with sum max(0, X - basin) >= volume
-    over the row's basins."""
-    none = np.iinfo(np.int64).max
-    table = np.sort(_table(basins, rows, len(volumes), none), axis=1)
-    ks = np.arange(1, table.shape[1] + 1, dtype=np.int64)
-    candidates = -(-(volumes[:, None] + np.cumsum(np.where(table < none, table, 0), axis=1)) // ks)
-    upper = np.concatenate([table[:, 1:], np.full((len(volumes), 1), none)], axis=1)
-    valid = (table < none) & (candidates > table) & (candidates <= upper)
-    # With no basins at all, no candidate is valid either.
-    if not valid.any(axis=1).all():
-        raise SolverError("integer water fill found no level")
-    return candidates[np.arange(len(volumes)), valid.argmax(axis=1)]
 
 
 def _water_fill(basins: np.ndarray, rows: np.ndarray, volumes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,6 +175,55 @@ def _apportion(raw: np.ndarray, rows: np.ndarray, totals: np.ndarray) -> np.ndar
     return shares
 
 
+def _capped_fill(basins, caps, rows, volumes, float_basins, float_volumes, scale) -> np.ndarray:
+    """Per row, integer shares of its volume that water-fill its intervals
+    up to their caps: min(cap, max(0, X - basin)) at one common level X.
+
+    Which intervals reach their cap is decided on the grid, from the
+    integer ``basins``, ``caps`` and ``volumes``, so capped shares never
+    commit more than a volume.  The others take the rest, apportioned
+    from the float water level of ``float_volumes`` (kWh) less the
+    capped shares over ``float_basins``.  ``rows`` labels the intervals
+    and does not decrease.
+    """
+    count, n = len(volumes), len(basins)
+    room = np.bincount(rows, caps, count).astype(np.int64)
+    if np.any(room < volumes):
+        raise SolverError("capped water fill found no level")
+    # Sweep each row's basins, where an interval starts to fill, and tops,
+    # where it stops: between two events the fill rises by the level's
+    # step times the count of filling intervals, and that count is 0
+    # between rows, so the sweep reaches a row with the earlier rows' room.
+    events = np.concatenate([basins, basins + caps])
+    order = np.lexsort((events, np.tile(rows, 2)))
+    filling = np.cumsum(np.where(order < n, 1, -1))
+    fill = np.cumsum(np.concatenate([[0], filling[:-1] * np.diff(events[order])]))
+    tops = order[order >= n] - n
+    capped = np.zeros(n, dtype=bool)
+    capped[tops] = fill[order >= n] <= (volumes + np.cumsum(room) - room)[rows[tops]]
+    shares = np.where(capped, caps, 0)
+    totals = volumes - np.bincount(rows, shares, count).astype(np.int64)
+    free = np.flatnonzero(~capped)
+    free = free[np.lexsort((float_basins[free], rows[free]))]
+    kwh = np.maximum(float_volumes - (volumes - totals) / scale, totals / scale)
+    level, k = _water_fill(float_basins[free], rows[free], kwh)
+    # A row whose caps take its whole volume leaves its other intervals empty.
+    raw = np.where(totals[rows[free]] > 0, level[rows[free]] * scale - basins[free], 0.0)
+    while True:
+        # The k lowest free intervals of a row share its remainder.
+        at = rows[free]
+        live = np.arange(len(free)) - np.searchsorted(at, np.arange(count))[at] < k[at]
+        shares[free[live]] = _apportion(np.minimum(raw[live], caps[free[live]]), at[live], totals)
+        over = shares[free] > caps[free]
+        if not over.any():
+            return shares
+        # A share past its cap is cut back to it; the rest of its row,
+        # with the next free interval in its place, share the remainder.
+        shares[free[over]] = caps[free[over]]
+        totals -= np.bincount(at[over], caps[free[over]], count).astype(np.int64)
+        free, raw = free[~over], raw[~over]
+
+
 def _peel_targets(
     whole: JobIntervalNetwork,
     energies: np.ndarray,
@@ -207,16 +240,13 @@ def _peel_targets(
     b_eff_f = base_f.copy()
     b_eff_i = np.rint(base_f * scale).astype(np.int64)
     target_int = np.zeros(m, dtype=np.int64)
-    shares = np.zeros(m, dtype=np.int64)
     allocation = np.zeros(whole.arc_count, dtype=np.int64)
-    # Each live job and interval carries its block's label; checks[label]
-    # marks a group whose shares must route, the rest probe a level.  The
-    # first blocks are the chains of overlapping windows, which share no
-    # job: a chain starts at i when no window [s, e) has s < i < e.
+    # Each live job and interval carries its block's label.  The first
+    # blocks are the chains of overlapping windows, which share no job:
+    # a chain starts at i when no window [s, e) has s < i < e.
     held = np.bincount(whole.starts + 1, minlength=m + 1) - np.bincount(whole.stops, minlength=m + 1)
     int_block = np.cumsum(np.cumsum(held)[:m] == 0) - 1
     job_block = int_block[whole.starts]
-    checks = np.zeros(int_block[-1] + 1, dtype=bool)
     while True:
         remaining = e_int - l_int * spilled
         job_block[remaining <= 0] = -1
@@ -226,71 +256,40 @@ def _peel_targets(
         network, jobs, ints, labels, job_start, job_pos, int_pos = block_level(
             whole.starts, whole.stops, job_block, int_block
         )
-        checking = checks[labels]
+        count = len(labels)
         volume = np.add.reduceat(remaining[jobs], job_start)
+        volume_f = row_sums(energies[jobs], job_pos, count) - row_sums(
+            rates[jobs] * spilled[jobs], job_pos, count
+        )
         capacities = network.capacities(remaining[jobs], l_int[jobs], np.zeros(len(ints), dtype=np.int64))
         sink_arcs = network.sink_arcs()
-        # A probe sits one grid step below its block's pooled level X, the
-        # least level whose valleys hold the block's volume with no windows
-        # or rates, so it never routes and its cut splits off exactly the
-        # jobs and intervals above X - 1.  A sink arc clipped to the rates
-        # into its interval saturates only when its job arcs do, so flow
-        # values and cuts are unchanged.
-        level = _pooled_levels(b_eff_i[ints], int_pos, volume)
-        below = np.clip(level[int_pos] - 1 - b_eff_i[ints], 0, network.reach(capacities))
-        capacities[sink_arcs] = np.where(checking[int_pos], shares[ints], below)
+        # Each block's sinks are its rate-capped water fill: a block that
+        # routes it is done, and the cut of any other is the threshold cut
+        # at the fill's level (module docstring, steps 1 and 2).
+        capacities[sink_arcs] = _capped_fill(
+            b_eff_i[ints], network.reach(capacities), int_pos, volume, b_eff_f[ints], volume_f, scale
+        )
         result = max_flow(network, capacities)
         flows = network.arc_flows(result)
-        routes = np.add.reduceat(flows[: len(jobs)], job_start) == volume
-        if np.any(routes & ~checking):
-            raise SolverError(f"the probe one grid step below level {level[routes & ~checking][0]} routes")
-        done = checking & routes
-        target_int[ints[done[int_pos]]] += shares[ints[done[int_pos]]]
+        done = np.add.reduceat(flows[: len(jobs)], job_start) == volume
+        target_int[ints[done[int_pos]]] += capacities[sink_arcs][done[int_pos]]
 
         # The source side of a cut is each block's high part.  Its jobs'
         # spill into the window intervals left outside is immovable and
-        # becomes baseload for the rest; it and the flows of the groups
+        # becomes baseload for the rest; it and the flows of the blocks
         # that route are final.
         cut_job, cut_int, spill_jobs, spill_ints = read_cut(
             whole, network, jobs, ints, residual_reachable(network, capacities, result), flows,
             done[job_pos], allocation,
         )
-        entire = np.bincount(int_pos[~cut_int], minlength=len(labels)) == 0
-        if np.any(checking & ~routes & entire):
-            raise SolverError("the cut at a group's shares failed to advance")
+        if np.any(~done & (np.bincount(int_pos[~cut_int], minlength=count) == 0)):
+            raise SolverError("the cut at a block's shares failed to advance")
         np.add.at(spilled, spill_jobs, 1)
         np.add.at(target_int, spill_ints, l_int[spill_jobs])
         np.add.at(b_eff_i, spill_ints, l_int[spill_jobs])
         np.add.at(b_eff_f, spill_ints, rates[spill_jobs])
-
-        # Each probe's cut side is water-filled on its own baseload valleys,
-        # lowest first.  A cut side whose level lies below X + 1 grid units
-        # is one group, as is one that holds its whole block; its integer
-        # shares must route on the next level.  A grid group can join true
-        # groups less than a grid step apart; its shares then do not route,
-        # and their cut splits it.  Any other cut side is probed again.
-        side_jobs = np.flatnonzero(cut_job & ~checking[job_pos])
-        rows = job_pos[side_jobs]
-        members = jobs[side_jobs]
-        volume_i = np.zeros(len(labels), dtype=np.int64)
-        np.add.at(volume_i, rows, e_int[members] - l_int[members] * spilled[members])
-        volume_f = row_sums(energies[members], rows, len(labels)) - row_sums(
-            rates[members] * spilled[members], rows, len(labels)
-        )
-        volume_f = np.maximum(volume_f, volume_i / scale)
-        side = np.flatnonzero(cut_int & ~checking[int_pos])
-        side = side[np.lexsort((b_eff_f[ints[side]], int_pos[side]))]
-        rows = int_pos[side]
-        lam, k_active = _water_fill(b_eff_f[ints[side]], rows, volume_f)
-        grouped = ~checking & ((lam * scale < level + 1) | entire)
-        first = np.searchsorted(rows, np.arange(len(labels)))
-        in_group = grouped[rows] & (np.arange(len(side)) - first[rows] < k_active[rows])
-        group = ints[side[in_group]]
-        shares[ints[side]] = 0
-        shares[group] = _apportion(lam[rows[in_group]] * scale - b_eff_i[group], rows[in_group], volume_i)
         # Each block's cut side and rest form the next level.
         job_block[jobs] = np.where(done[job_pos], -1, 2 * job_pos + cut_job)
         int_block[ints] = np.where(done[int_pos], -1, 2 * int_pos + cut_int)
-        checks = np.repeat(grouped, 2) & np.tile([False, True], len(labels))
         # Held while block_level builds the next level, they set the memory peak.
         del network, result

@@ -111,6 +111,19 @@ class TestLoadEmissions:
             load_emissions(path, make_horizon(8))
         assert excinfo.value.row == 3
 
+    def test_bad_number_after_a_blank_line_reports_its_line(self, tmp_path):
+        # Line 3 is blank, so the bad number sits on line 4.
+        path = emissions_csv(tmp_path, [f"{stamp(0)},0.4\n", "\n", f"{stamp(1)},oops\n"])
+        with pytest.raises(ParseError) as excinfo:
+            load_emissions(path, make_horizon(8))
+        assert excinfo.value.row == 4
+
+    def test_decreasing_timestamp_after_a_blank_line_reports_its_line(self, tmp_path):
+        path = emissions_csv(tmp_path, [f"{stamp(1)},0.4\n", "\n", f"{stamp(0)},0.2\n"])
+        with pytest.raises(SchemaError, match="not strictly increasing") as excinfo:
+            load_emissions(path, make_horizon(4))
+        assert excinfo.value.row == 4
+
     def test_negative_factor_rejected(self, tmp_path):
         path = emissions_csv(tmp_path, [f"{stamp(0)},0.4\n", f"{stamp(1)},-0.2\n"])
         with pytest.raises(ParseError):
@@ -238,6 +251,18 @@ class TestTimetable:
         with pytest.raises(SchemaError) as excinfo:
             load_timetable(path)
         assert excinfo.value.column == "bus_type"
+
+    def test_unknown_bus_type_after_a_blank_line_reports_its_line(self, tmp_path):
+        path = tmp_path / "timetable.csv"
+        path.write_text(
+            "day,line_id,start,end,bus_type,soc_after_kwh\n"
+            "0,l1,07:00,18:00,SMALL,40.0\n"
+            "\n"
+            "0,l2,07:00,18:00,MEDIUM,40.0\n"
+        )
+        with pytest.raises(SchemaError, match="unknown bus type") as excinfo:
+            load_timetable(path)
+        assert (excinfo.value.row, excinfo.value.column) == (4, "bus_type")
 
     def test_day_out_of_range(self, tmp_path):
         path = tmp_path / "timetable.csv"

@@ -86,15 +86,22 @@ def scanned_water_fill(basins, volume):
     return (volume + float(prefix[-1])) / len(order), len(order)
 
 
-def min_int_level(basins, volume):
-    """Smallest integer X with sum_i max(0, X - basins[i]) >= volume, for one
-    row, as `flatten._pooled_levels` finds it for every row at once."""
-    order = np.sort(basins)
-    ks = np.arange(1, len(order) + 1, dtype=np.int64)
-    candidates = -(-(volume + np.cumsum(order)) // ks)
-    upper = np.append(order[1:], np.iinfo(np.int64).max)
-    valid = np.flatnonzero((candidates > order) & (candidates <= upper))
-    return int(candidates[valid[0]])
+def scanned_capped_fill(basins, caps, volume, float_basins, float_volume, scale):
+    """The interval-by-interval scan of one row that `flatten._capped_fill` vectorises."""
+    capped = np.array(
+        [np.clip(top - basins, 0, caps).sum() <= volume for top in basins + caps], dtype=bool
+    )
+    shares = np.where(capped, caps, 0)
+    rest = volume - int(shares.sum())
+    if rest > 0:
+        free = np.flatnonzero(~capped)
+        free = free[np.argsort(float_basins[free], kind="stable")]
+        level, k = scanned_water_fill(
+            float_basins[free], max(float_volume - (volume - rest) / scale, rest / scale)
+        )
+        live = free[:k]
+        shares[live] = round_robin_apportion(np.minimum(level * scale - basins[live], caps[live]), rest)
+    return shares
 
 
 def random_rows(rng, draw):
@@ -141,13 +148,58 @@ class TestGridHelpers:
             for r, part in enumerate(parts):
                 assert (levels[r], ks[r]) == scanned_water_fill(part, volumes[r])
 
-    def test_pooled_levels_match_the_integer_fill(self):
+    def test_capped_fill_matches_the_scan(self):
+        # Rows where every interval fills to its cap, volumes one grid unit
+        # short of filling an interval to its cap, and volumes of 0 and
+        # 1e-300 kWh come up among the random ones.  Float basins lie up
+        # to 0.4 grid units off the integer ones, which decide the caps.
         rng = np.random.default_rng(139)
+        scale = 1000
+        seen = set()
         for _ in range(300):
             basins, rows, parts = random_rows(rng, lambda size: rng.integers(-50, 10**6, size))
-            volumes = rng.integers(1, 10**7, size=len(parts))
-            levels = flatten._pooled_levels(basins, rows, volumes)
-            assert list(levels) == [min_int_level(part, volumes[r]) for r, part in enumerate(parts)]
+            caps = rng.integers(0, 10**5, size=len(basins))
+            room = np.bincount(rows, caps).astype(np.int64)
+            kinds = rng.choice(["some", "edge", "all", "zero", "tiny"], size=len(parts))
+            volumes = np.where(kinds == "all", room, np.where(kinds == "some", rng.integers(0, room + 1), 0))
+            for r in np.flatnonzero(kinds == "edge"):
+                row = rows == r
+                top = rng.choice(basins[row] + caps[row])
+                volumes[r] = max(0, np.clip(top - basins[row], 0, caps[row]).sum() - 1)
+            float_basins = basins / scale + rng.uniform(-0.4, 0.4, len(basins)) / scale
+            float_volumes = np.where(kinds == "tiny", 1e-300, volumes / scale)
+            shares = flatten._capped_fill(basins, caps, rows, volumes, float_basins, float_volumes, scale)
+            np.testing.assert_array_equal(np.bincount(rows, shares, len(parts)), volumes)
+            assert np.all((shares >= 0) & (shares <= caps))
+            for r in range(len(parts)):
+                row = rows == r
+                expected = scanned_capped_fill(
+                    basins[row], caps[row], volumes[r], float_basins[row], float_volumes[r], scale
+                )
+                np.testing.assert_array_equal(shares[row], expected)
+                if kinds[r] == "all":
+                    np.testing.assert_array_equal(shares[row], caps[row])
+            seen.update(kinds)
+        assert seen == {"some", "edge", "all", "zero", "tiny"}
+
+    def test_capped_fill_holds_caps_and_volumes_off_its_floats(self, monkeypatch):
+        # Float basins and volumes up to three grid units off the integer
+        # ones put some float levels past a cap the grid leaves open; the
+        # fill then caps that share and apportions its row again.
+        calls = []
+        exact = flatten._apportion
+        monkeypatch.setattr(flatten, "_apportion", lambda *args: calls.append(1) or exact(*args))
+        rng = np.random.default_rng(149)
+        for _ in range(1000):
+            basins, rows, parts = random_rows(rng, lambda size: rng.integers(0, 30, size))
+            caps = rng.integers(0, 12, size=len(basins))
+            volumes = rng.integers(0, np.bincount(rows, caps).astype(np.int64) + 1)
+            float_basins = basins + rng.uniform(-3.0, 3.0, len(basins))
+            float_volumes = volumes + rng.uniform(-3.0, 3.0, len(volumes))
+            shares = flatten._capped_fill(basins, caps, rows, volumes, float_basins, float_volumes, 1)
+            np.testing.assert_array_equal(np.bincount(rows, shares, len(parts)), volumes)
+            assert np.all((shares >= 0) & (shares <= caps))
+        assert len(calls) > 1000
 
 
 class TestFlattenProblem:
@@ -319,9 +371,27 @@ class TestSolveFlatten:
         # Starting from the chains of overlapping windows and reading the
         # schedule off the cuts took it from 197 max flows over 1,007,383
         # arcs to 170 over 714,176; probing one grid step below the pooled
-        # level, with no second max flow per level, to 103 over 452,751.
-        assert 0 < len(calls) <= 110
-        assert sum(args[0].arc_count for args in calls) <= 470_000
+        # level, with no second max flow per level, to 103 over 452,751;
+        # routing each block's rate-capped water fill, so that a block is
+        # done or split by every max flow, to 71 over 292,488.
+        assert 0 < len(calls) <= 75
+        assert sum(args[0].arc_count for args in calls) <= 310_000
+
+    def test_chain_whose_capped_fill_routes_takes_one_max_flow(self, monkeypatch):
+        # Interval 0 is reached by bus a alone and interval 5 by bus b
+        # alone.  Both sit in a valley, so the water fill caps them at one
+        # bus's rate, and the capped fill routes at the first max flow.
+        blocks, calls = record_levels(monkeypatch)
+        jobs = (
+            Job(id="a", arrival=0, departure=5, energy_kwh=5.0, max_rate_kwh=2.0),
+            Job(id="b", arrival=1, departure=6, energy_kwh=5.0, max_rate_kwh=2.0),
+        )
+        instance = Instance(make_horizon(6), jobs)
+        baseload = np.array([0.0, 3.0, 3.0, 3.0, 3.0, 0.0])
+        schedule = solve_flatten(FlattenProblem(instance, BaseloadSeries(baseload)))
+        validate_schedule(instance, schedule)
+        assert blocks == [1] and len(calls) == 1
+        np.testing.assert_allclose(schedule.aggregate_kwh, [2.0, 1.5, 1.5, 1.5, 1.5, 2.0], atol=1e-9)
 
     def test_one_max_flow_and_one_cut_per_level(self, monkeypatch):
         blocks, calls = record_levels(monkeypatch)

@@ -16,6 +16,7 @@ from datetime import datetime
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import depotcharge
 from depotcharge.model import Horizon, Instance, Job, Schedule, validate_schedule
@@ -34,6 +35,16 @@ from depotcharge.flow import EmissionSeries
 from depotcharge.model import BaseloadSeries, Horizon, Instance, Job
 
 assert not __debug__, "assertions are still on"
+
+
+# Every fault goes through patch: a name that no longer exists must fail
+# the test rather than leave the fault unapplied.
+def patch(module, name, value):
+    if not hasattr(module, name):
+        raise SystemExit(f"{module.__name__} has no {name} to patch")
+    setattr(module, name, value)
+
+
 horizon = Horizon(start=datetime(2023, 6, 5), interval_count=4)
 instance = Instance(horizon, (
     Job(id="a", arrival=0, departure=3, energy_kwh=4.0, max_rate_kwh=2.0),
@@ -71,16 +82,20 @@ def test_no_assert_statement_in_the_package():
     assert not found, f"assert statements at {found}"
 
 
-def test_stalled_level_search():
-    # A pooled level of zero routes nothing one grid step below it, so
-    # each probe's cut holds its whole block.  That block goes on as a
-    # group check, whose shares route or split it, and the search still
-    # ends in an exchange-optimal schedule.
+def test_fill_that_ignores_the_caps():
+    # Caps far above every rate make each block's fill the plain water
+    # fill, whose shares here overfill the interval only job b reaches.
+    # Any level still gives an exact cut, so the search takes more max
+    # flows but ends in an exchange-optimal schedule.
     code = PRELUDE + textwrap.dedent("""
-        flatten._pooled_levels = lambda basins, rows, volumes: np.zeros(len(volumes), dtype=np.int64)
+        exact_fill, exact_flow = flatten._capped_fill, flatten.max_flow
+        calls = []
+        patch(flatten, "_capped_fill", lambda basins, caps, *rest: exact_fill(basins, caps + 10**12, *rest))
+        patch(flatten, "max_flow", lambda *args: calls.append(args) or exact_flow(*args))
         problem = flatten.FlattenProblem(instance, BaseloadSeries(np.array([1.0, 0.0, 2.5, 0.5])))
         schedule = flatten.solve_flatten(problem)
-        print(json.dumps({job: list(values) for job, values in schedule.window_energy.items()}))
+        windows = {job: list(values) for job, values in schedule.window_energy.items()}
+        print(json.dumps({"max_flows": len(calls), "windows": windows}))
     """)
     result = subprocess.run(
         [sys.executable, "-O", "-c", code],
@@ -93,30 +108,48 @@ def test_stalled_level_search():
         Job(id="a", arrival=0, departure=3, energy_kwh=4.0, max_rate_kwh=2.0),
         Job(id="b", arrival=1, departure=4, energy_kwh=3.0, max_rate_kwh=2.0),
     ))
-    windows = json.loads(result.stdout)
-    schedule = Schedule.build(instance, {job: np.array(values) for job, values in windows.items()})
+    out = json.loads(result.stdout)
+    # The capped fill routes this chain in one max flow.
+    assert out["max_flows"] > 1
+    schedule = Schedule.build(instance, {job: np.array(values) for job, values in out["windows"].items()})
     validate_schedule(instance, schedule)
     assert_exchange_optimal(instance, schedule, np.array([1.0, 0.0, 2.5, 0.5]))
 
 
-def test_top_level_that_routes_one_step_lower():
+@pytest.mark.parametrize(
+    "unit, expected",
+    # Shares a unit short never route the volume, and their cut takes in
+    # the whole block; shares a unit over route it but leave one share
+    # unfilled, so the targets miss the allocation.
+    [(-1, "a block's shares failed to advance"), (1, "misses an energy, a target or a rate")],
+    ids=["loses", "invents"],
+)
+def test_fill_that_misses_the_volume(unit, expected):
     run_optimized("""
-        # A pooled level far above the water routes even one grid step below.
-        flatten._pooled_levels = lambda basins, rows, volumes: np.full(len(volumes), 10**15)
+        # The largest share of every fill is one grid unit off, so the
+        # shares lose or invent a unit of their block's volume.
+        exact = flatten._capped_fill
+
+        def one_unit_off(*args):
+            shares = exact(*args)
+            shares[np.argmax(shares)] += UNIT
+            return shares
+
+        patch(flatten, "_capped_fill", one_unit_off)
 
         def fault():
             flatten.solve_flatten(flatten.FlattenProblem(instance))
-    """, "one grid step below")
+    """.replace("UNIT", str(unit)), expected)
 
 
 def test_group_shares_that_never_route():
     run_optimized("""
         # Zero shares route nothing, so the cut takes in the whole group.
-        flatten._apportion = lambda raw, rows, totals: np.zeros(len(raw), dtype=np.int64)
+        patch(flatten, "_apportion", lambda raw, rows, totals: np.zeros(len(raw), dtype=np.int64))
 
         def fault():
             flatten.solve_flatten(flatten.FlattenProblem(instance))
-    """, "a group's shares")
+    """, "a block's shares")
 
 
 def test_group_shares_that_never_route_beside_a_routing_block():
@@ -132,7 +165,7 @@ def test_group_shares_that_never_route_beside_a_routing_block():
             shares[rows == rows[0]] = 0
             return shares
 
-        flatten._apportion = first_group_routes_nothing
+        patch(flatten, "_apportion", first_group_routes_nothing)
         halves = Instance(horizon, (
             Job(id="a", arrival=0, departure=2, energy_kwh=4.0, max_rate_kwh=4.0),
             Job(id="b", arrival=2, departure=4, energy_kwh=1.0, max_rate_kwh=4.0),
@@ -140,7 +173,7 @@ def test_group_shares_that_never_route_beside_a_routing_block():
 
         def fault():
             flatten.solve_flatten(flatten.FlattenProblem(halves))
-    """, "a group's shares")
+    """, "a block's shares")
 
 
 def test_allocation_that_misses_a_job():
@@ -157,7 +190,7 @@ def test_allocation_that_misses_a_job():
                 result.flow.data[into] += [-1, 1]
             return result
 
-        flatten.max_flow = one_unit_moved
+        patch(flatten, "max_flow", one_unit_moved)
 
         def fault():
             flatten.solve_flatten(flatten.FlattenProblem(instance))
@@ -166,15 +199,19 @@ def test_allocation_that_misses_a_job():
 
 def test_integer_water_fill_without_a_level():
     run_optimized("""
+        # Caps of 1 and 2 grid units cannot hold a volume of 4.
         def fault():
-            flatten._pooled_levels(np.array([1, 2]), np.array([0, 0]), np.array([0]))
+            flatten._capped_fill(
+                np.array([0, 0]), np.array([1, 2]), np.array([0, 0]), np.array([4]), np.zeros(2), np.array([4.0]), 1
+            )
     """, "found no level")
 
 
 def test_integer_water_fill_without_basins():
     run_optimized("""
         def fault():
-            flatten._pooled_levels(np.array([], dtype=np.int64), np.array([], dtype=np.int64), np.array([5]))
+            none = np.array([], dtype=np.int64)
+            flatten._capped_fill(none, none, none, np.array([5]), np.array([]), np.array([5.0]), 1)
     """, "found no level")
 
 
@@ -188,7 +225,7 @@ def test_negative_apportion_total():
 def test_completed_square_drift():
     run_optimized("""
         exact = weighted.weighted_objective
-        weighted.weighted_objective = lambda *args: exact(*args) + 1.0
+        patch(weighted, "weighted_objective", lambda *args: exact(*args) + 1.0)
 
         def fault():
             emissions = EmissionSeries(np.array([0.3, 0.1, 0.2, 0.4]))
@@ -201,7 +238,7 @@ def test_short_extraction():
     run_optimized("""
         # Every max flow comes back empty, so the feasibility probe routes nothing.
         exact = flow.max_flow
-        flow.max_flow = lambda network, capacities: exact(network, np.zeros_like(capacities))
+        patch(flow, "max_flow", lambda network, capacities: exact(network, np.zeros_like(capacities)))
 
         def fault():
             capped = Instance(horizon, instance.jobs, caps_kwh=np.full(4, 10.0))
@@ -222,9 +259,9 @@ def test_greedy_cuts_that_take_in_nothing():
     run_optimized("""
         # No cut: every job stays with the cheaper half until a leaf of one
         # interval is left with all of the energy.
-        flow.residual_reachable = lambda network, capacities, result: np.zeros(
+        patch(flow, "residual_reachable", lambda network, capacities, result: np.zeros(
             network.node_count, dtype=bool
-        )
+        ))
     """ + CAPPED, "a leaf share of 700000000 lies outside [0, 300000000]")
 
 
@@ -232,9 +269,9 @@ def test_greedy_cuts_that_take_in_everything():
     run_optimized("""
         # Every cut takes in everything, so the last leaf owes its full
         # intervals more than its jobs have left.
-        flow.residual_reachable = lambda network, capacities, result: np.ones(
+        patch(flow, "residual_reachable", lambda network, capacities, result: np.ones(
             network.node_count, dtype=bool
-        )
+        ))
     """ + CAPPED, "a leaf share of -100000000 lies outside [0, 200000000]")
 
 
@@ -247,7 +284,7 @@ def test_greedy_spill_past_a_cap():
             mask[network.job_nodes()] = True
             return mask
 
-        flow.residual_reachable = jobs_only
+        patch(flow, "residual_reachable", jobs_only)
     """ + CAPPED, "overfills")
 
 
@@ -264,7 +301,7 @@ def test_greedy_leaf_that_does_not_route():
                 return exact(network, np.zeros_like(capacities))
             return exact(network, capacities)
 
-        flow.max_flow = short_leaves
+        patch(flow, "max_flow", short_leaves)
     """ + CAPPED, "misses a job's energy")
 
 
@@ -283,7 +320,7 @@ def test_greedy_read_off_that_drops_a_spill():
                 flows[dropped[0]] = 0
             return cut
 
-        flow.read_cut = one_spill_dropped
+        patch(flow, "read_cut", one_spill_dropped)
         spilling = Instance(horizon, (
             Job(id="a", arrival=0, departure=2, energy_kwh=4.0, max_rate_kwh=2.0),
             Job(id="b", arrival=1, departure=4, energy_kwh=5.0, max_rate_kwh=2.0),
@@ -305,7 +342,7 @@ def test_dearer_flow_fails_the_certificate():
         emissions = EmissionSeries(np.array([0.3, 0.1, 0.2, 0.4]))
         scale = flow.build_network(capped, emissions)[1]
         dearer = np.array([4, 3, 2, 0, 2, 2, 0, 1, 2, 2, 2, 1]) * scale
-        flow._polymatroid_greedy = lambda network, capacities, costs, job_ids: dearer
+        patch(flow, "_polymatroid_greedy", lambda network, capacities, costs, job_ids: dearer)
 
         def fault():
             flow.solve_min_co2(capped, emissions)
