@@ -12,10 +12,13 @@ remaining energy and the intervals they reach, and a level of the
 divide and conquer holds every block alive:
 
 1. Relax.  Each block's volume is water-filled over its intervals, each
-   capped at the summed rates of the block's jobs that reach it, and
-   apportioned to integer shares that sum to the volume within the caps.
-   Every schedule of the block satisfies those caps, so the capped fill
-   is optimal for a relaxation of the block.
+   capped at the summed rates of the block's jobs that reach it, on the
+   integer grid: the fill rises to the highest integer level X that the
+   volume covers, and the remainder, fewer units than there are
+   intervals still filling at X, goes one unit each to those intervals,
+   lowest basin first.  This is the integer fill over a polymatroid
+   (Groenevelt, EJOR 1991).  Every schedule of the block satisfies those
+   caps, so the capped fill is optimal for a relaxation of the block.
 2. Route.  A max flow with the shares as sink capacities either routes
    the whole volume, and the block is done at its relaxation's optimum,
    or it does not, and its source-reachable cut is a threshold cut at
@@ -50,7 +53,7 @@ import numpy as np
 
 from .errors import SolverError
 from .flow import (
-    JobIntervalNetwork, block_level, grid, max_flow, read_cut, read_schedule, residual_reachable, row_sums,
+    JobIntervalNetwork, block_level, grid, max_flow, read_cut, read_schedule, residual_reachable,
 )
 from .model import BaseloadSeries, Instance, Schedule
 
@@ -107,10 +110,8 @@ def solve_flatten(problem: FlattenProblem) -> Schedule:
         return Schedule.build(instance, {})
 
     base_f = problem.baseload_kwh()
-    rates = np.array([job.max_rate_kwh for job in jobs])
-    energies = np.array([job.energy_kwh for job in jobs])
     network, scale, e_int, l_int, _ = grid(instance, float(np.abs(base_f).sum()))
-    target_int, flows = _peel_targets(network, energies, rates, e_int, l_int, base_f, scale)
+    target_int, flows = _peel_targets(network, e_int, l_int, base_f, scale)
     arcs = flows[network.job_arcs()]
     within = (arcs >= 0) & (arcs <= np.repeat(l_int, network.widths))
     missed = np.any(network.delivered(flows) != e_int) or np.any(network.reach(flows) != target_int)
@@ -121,69 +122,15 @@ def solve_flatten(problem: FlattenProblem) -> Schedule:
     return read_schedule(instance, network, flows, scale, totals, totals)
 
 
-def _table(values: np.ndarray, rows: np.ndarray, count: int, pad) -> np.ndarray:
-    """One row per label holding its ``values`` in order, padded at the end
-    with ``pad``; ``rows`` labels the values and does not decrease."""
-    lengths = np.bincount(rows, minlength=count)
-    table = np.full((count, lengths.max(initial=1)), pad, dtype=values.dtype)
-    table[rows, np.arange(len(rows)) - (np.cumsum(lengths) - lengths)[rows]] = values
-    return table
-
-
-def _water_fill(basins: np.ndarray, rows: np.ndarray, volumes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the exact common level filling its volume into its lowest basins.
-
-    ``basins`` ascend within each row.  Returns (level, k): the k lowest
-    basins of a row sit strictly below its level and absorb its volume.
-    """
-    table = _table(basins, rows, len(volumes), np.inf)
-    levels = (volumes[:, None] + np.cumsum(table, axis=1)) / np.arange(1, table.shape[1] + 1)
-    upper = np.concatenate([table[:, 1:], np.full((len(volumes), 1), np.inf)], axis=1)
-    fits = (levels > table) & (levels <= upper)
-    # Round-off can leave no exact segment when a volume is vanishingly
-    # small; such a row spreads over every basin.
-    k = np.where(fits.any(axis=1), fits.argmax(axis=1) + 1, np.bincount(rows, minlength=len(volumes)))
-    return levels[np.arange(len(volumes)), np.maximum(k, 1) - 1], k
-
-
-def _apportion(raw: np.ndarray, rows: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """Per row, integer shares summing to its total that track the float shares ``raw``.
-
-    ``rows`` labels the shares and does not decrease.
-    """
-    if np.any(totals < 0):
-        raise SolverError(f"cannot apportion a negative total of {totals[totals < 0][0]} grid units")
-    raw = np.maximum(raw, 0.0)
-    shares = np.floor(raw).astype(np.int64)
-    fracs = raw - shares
-    lengths = np.bincount(rows, minlength=len(totals))
-    first = np.cumsum(lengths) - lengths
-    deficit = totals.copy()
-    np.subtract.at(deficit, rows, shares)
-    # Units go round the largest fractions first, come back round the
-    # smallest, one unit per share and pass.
-    rounds, extra = np.divmod(np.maximum(deficit, 0), np.maximum(lengths, 1))
-    rank = np.empty(len(raw), dtype=np.int64)
-    rank[np.lexsort((-fracs, rows))] = np.arange(len(raw)) - first[rows]
-    shares += rounds[rows] + (rank < extra[rows])
-    for r in np.flatnonzero(deficit < 0):
-        order = first[r] + np.argsort(fracs[first[r] : first[r] + lengths[r]], kind="stable")
-        while deficit[r] < 0:
-            down = order[shares[order] > 0][: -deficit[r]]
-            shares[down] -= 1
-            deficit[r] += len(down)
-    return shares
-
-
-def _capped_fill(basins, caps, rows, volumes, float_basins, float_volumes, scale) -> np.ndarray:
+def _capped_fill(basins, caps, rows, volumes) -> np.ndarray:
     """Per row, integer shares of its volume that water-fill its intervals
-    up to their caps: min(cap, max(0, X - basin)) at one common level X.
+    up to their caps, with the least sum of (basin + share)^2.
 
-    Which intervals reach their cap is decided on the grid, from the
-    integer ``basins``, ``caps`` and ``volumes``, so capped shares never
-    commit more than a volume.  The others take the rest, apportioned
-    from the float water level of ``float_volumes`` (kWh) less the
-    capped shares over ``float_basins``.  ``rows`` labels the intervals
+    A row's level X is the highest integer whose fill
+    F(X) = sum min(cap, max(0, X - basin)) holds the volume, and each
+    interval takes min(cap, max(0, X - basin)).  The rest of the volume
+    is less than the count of intervals still filling at X; they take
+    one unit each, lowest basin first.  ``rows`` labels the intervals
     and does not decrease.
     """
     count, n = len(volumes), len(basins)
@@ -196,38 +143,28 @@ def _capped_fill(basins, caps, rows, volumes, float_basins, float_volumes, scale
     # between rows, so the sweep reaches a row with the earlier rows' room.
     events = np.concatenate([basins, basins + caps])
     order = np.lexsort((events, np.tile(rows, 2)))
+    events = events[order]
     filling = np.cumsum(np.where(order < n, 1, -1))
-    fill = np.cumsum(np.concatenate([[0], filling[:-1] * np.diff(events[order])]))
-    tops = order[order >= n] - n
-    capped = np.zeros(n, dtype=bool)
-    capped[tops] = fill[order >= n] <= (volumes + np.cumsum(room) - room)[rows[tops]]
-    shares = np.where(capped, caps, 0)
-    totals = volumes - np.bincount(rows, shares, count).astype(np.int64)
-    free = np.flatnonzero(~capped)
-    free = free[np.lexsort((float_basins[free], rows[free]))]
-    kwh = np.maximum(float_volumes - (volumes - totals) / scale, totals / scale)
-    level, k = _water_fill(float_basins[free], rows[free], kwh)
-    # A row whose caps take its whole volume leaves its other intervals empty.
-    raw = np.where(totals[rows[free]] > 0, level[rows[free]] * scale - basins[free], 0.0)
-    while True:
-        # The k lowest free intervals of a row share its remainder.
-        at = rows[free]
-        live = np.arange(len(free)) - np.searchsorted(at, np.arange(count))[at] < k[at]
-        shares[free[live]] = _apportion(np.minimum(raw[live], caps[free[live]]), at[live], totals)
-        over = shares[free] > caps[free]
-        if not over.any():
-            return shares
-        # A share past its cap is cut back to it; the rest of its row,
-        # with the next free interval in its place, share the remainder.
-        shares[free[over]] = caps[free[over]]
-        totals -= np.bincount(at[over], caps[free[over]], count).astype(np.int64)
-        free, raw = free[~over], raw[~over]
+    fill = np.cumsum(np.diff(events, prepend=events[:1]) * np.concatenate([[0], filling[:-1]]))
+    # Each row's level lies past the last of its events whose fill holds
+    # the volume, by whole steps of the intervals filling there (none
+    # fill past a row's last top, which only a full room reaches).
+    held = volumes + np.cumsum(room) - room
+    ends = 2 * np.cumsum(np.bincount(rows, minlength=count))
+    at = (np.minimum(np.searchsorted(fill, held, "right"), ends) - 1)[rows]
+    steps, rest = np.divmod(held[rows] - fill[at], np.maximum(filling[at], 1))
+    level = events[at] + steps
+    shares = np.clip(level - basins, 0, caps)
+    # The intervals still filling at X take the rest in order of basin,
+    # ranked within their row.
+    up = np.flatnonzero((basins <= level) & (level < basins + caps))
+    up = up[np.lexsort((basins[up], rows[up]))]
+    shares[up[np.arange(len(up)) - np.searchsorted(rows[up], rows[up]) < rest[up]]] += 1
+    return shares
 
 
 def _peel_targets(
     whole: JobIntervalNetwork,
-    energies: np.ndarray,
-    rates: np.ndarray,
     e_int: np.ndarray,
     l_int: np.ndarray,
     base_f: np.ndarray,
@@ -237,7 +174,6 @@ def _peel_targets(
     on ``whole``, and a flow per arc of ``whole`` that delivers them."""
     m = whole.interval_count
     spilled = np.zeros(whole.job_count, dtype=np.int64)
-    b_eff_f = base_f.copy()
     b_eff_i = np.rint(base_f * scale).astype(np.int64)
     target_int = np.zeros(m, dtype=np.int64)
     allocation = np.zeros(whole.arc_count, dtype=np.int64)
@@ -253,22 +189,16 @@ def _peel_targets(
         if np.all(job_block < 0):
             return target_int, allocation
         # One network holds the level, so one max flow decides every block.
-        network, jobs, ints, labels, job_start, job_pos, int_pos = block_level(
+        network, jobs, ints, _, job_start, job_pos, int_pos = block_level(
             whole.starts, whole.stops, job_block, int_block
         )
-        count = len(labels)
         volume = np.add.reduceat(remaining[jobs], job_start)
-        volume_f = row_sums(energies[jobs], job_pos, count) - row_sums(
-            rates[jobs] * spilled[jobs], job_pos, count
-        )
         capacities = network.capacities(remaining[jobs], l_int[jobs], np.zeros(len(ints), dtype=np.int64))
         sink_arcs = network.sink_arcs()
         # Each block's sinks are its rate-capped water fill: a block that
         # routes it is done, and the cut of any other is the threshold cut
         # at the fill's level (module docstring, steps 1 and 2).
-        capacities[sink_arcs] = _capped_fill(
-            b_eff_i[ints], network.reach(capacities), int_pos, volume, b_eff_f[ints], volume_f, scale
-        )
+        capacities[sink_arcs] = _capped_fill(b_eff_i[ints], network.reach(capacities), int_pos, volume)
         result = max_flow(network, capacities)
         flows = network.arc_flows(result)
         done = np.add.reduceat(flows[: len(jobs)], job_start) == volume
@@ -282,12 +212,11 @@ def _peel_targets(
             whole, network, jobs, ints, residual_reachable(network, capacities, result), flows,
             done[job_pos], allocation,
         )
-        if np.any(~done & (np.bincount(int_pos[~cut_int], minlength=count) == 0)):
+        if np.any(~done & (np.bincount(int_pos[~cut_int], minlength=len(volume)) == 0)):
             raise SolverError("the cut at a block's shares failed to advance")
         np.add.at(spilled, spill_jobs, 1)
         np.add.at(target_int, spill_ints, l_int[spill_jobs])
         np.add.at(b_eff_i, spill_ints, l_int[spill_jobs])
-        np.add.at(b_eff_f, spill_ints, rates[spill_jobs])
         # Each block's cut side and rest form the next level.
         job_block[jobs] = np.where(done[job_pos], -1, 2 * job_pos + cut_job)
         int_block[ints] = np.where(done[int_pos], -1, 2 * int_pos + cut_int)

@@ -571,10 +571,13 @@ def read_schedule(
     add_windows(load, [job.arrival for job in jobs], windows)
     # Only the jobs whose windows miss their energy enter the loop.
     sums = row_sums(kwh[network.job_arcs()], network.arc_job, len(jobs))
-    energies = np.array([job.energy_kwh for job in jobs])
-    for k in np.flatnonzero(np.abs(energies - sums) >= 1e-12):
+    # A job may ask up to ENERGY_ATOL more than its rate times its window
+    # width holds; it is aimed at what the window holds.
+    rates = np.array([job.max_rate_kwh for job in jobs])
+    aims = np.minimum([job.energy_kwh for job in jobs], rates * network.widths)
+    for k in np.flatnonzero(np.abs(aims - sums) >= 1e-12):
         job, values = jobs[k], windows[k]
-        residual = job.energy_kwh - float(values.sum())
+        residual = float(aims[k]) - float(values.sum())
         if abs(residual) < 1e-12:
             continue
         window = np.arange(job.arrival, job.departure)

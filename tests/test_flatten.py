@@ -1,5 +1,6 @@
 """Tests for the profile-flattening solver."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -55,58 +56,27 @@ def off_grid_instances(draw, coarse=False):
     return Instance(make_horizon(m), tuple(jobs)), baseload
 
 
-def round_robin_apportion(raw, total):
-    """The unit-by-unit apportioning of one row that `flatten._apportion` vectorises."""
-    raw = np.maximum(raw, 0.0)
-    shares = np.floor(raw).astype(np.int64)
-    fracs = raw - shares
-    deficit = total - int(shares.sum())
-    order = np.argsort(-fracs if deficit > 0 else fracs, kind="stable")
-    pos = 0
-    while deficit != 0:
-        idx = order[pos % len(order)]
-        if deficit > 0:
-            shares[idx] += 1
-            deficit -= 1
-        elif shares[idx] > 0:
-            shares[idx] -= 1
-            deficit += 1
-        pos += 1
-    return shares
-
-
-def scanned_water_fill(basins, volume):
-    """The basin-by-basin scan of one row that `flatten._water_fill` vectorises."""
-    order = np.sort(basins)
-    prefix = np.cumsum(order)
-    for k in range(1, len(order) + 1):
-        level = (volume + float(prefix[k - 1])) / k
-        if level > order[k - 1] and (k == len(order) or level <= order[k]):
-            return level, k
-    return (volume + float(prefix[-1])) / len(order), len(order)
-
-
-def scanned_capped_fill(basins, caps, volume, float_basins, float_volume, scale):
-    """The interval-by-interval scan of one row that `flatten._capped_fill` vectorises."""
-    capped = np.array(
-        [np.clip(top - basins, 0, caps).sum() <= volume for top in basins + caps], dtype=bool
-    )
-    shares = np.where(capped, caps, 0)
+def scanned_capped_fill(basins, caps, volume):
+    """One row's capped fill, its level raised one grid unit at a time."""
+    if not len(basins):
+        return basins
+    level, top = int(basins.min()), int((basins + caps).max())
+    while level < top and np.clip(level + 1 - basins, 0, caps).sum() <= volume:
+        level += 1
+    shares = np.clip(level - basins, 0, caps)
     rest = volume - int(shares.sum())
-    if rest > 0:
-        free = np.flatnonzero(~capped)
-        free = free[np.argsort(float_basins[free], kind="stable")]
-        level, k = scanned_water_fill(
-            float_basins[free], max(float_volume - (volume - rest) / scale, rest / scale)
-        )
-        live = free[:k]
-        shares[live] = round_robin_apportion(np.minimum(level * scale - basins[live], caps[live]), rest)
+    # The intervals still filling at the level take the rest, one unit
+    # each, lowest basin first.
+    for i in sorted(np.flatnonzero((basins <= level) & (level < basins + caps)), key=lambda i: basins[i]):
+        if rest > 0:
+            shares[i] += 1
+            rest -= 1
     return shares
 
 
 def random_rows(rng, draw):
-    """Up to six rows of one to eight values each: (values, row labels, per-row values)."""
-    parts = [draw(int(rng.integers(1, 9))) for _ in range(int(rng.integers(1, 7)))]
+    """Up to six rows of up to eight values each: (values, row labels, per-row values)."""
+    parts = [draw(int(rng.integers(0, 9))) for _ in range(int(rng.integers(1, 7)))]
     rows = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
     return np.concatenate(parts), rows, parts
 
@@ -127,79 +97,51 @@ def record_levels(monkeypatch):
 
 
 class TestGridHelpers:
-    def test_apportion_matches_the_round_robin(self):
-        # Totals reach below the floors' sum, so shares also come back.
-        rng = np.random.default_rng(103)
-        for _ in range(300):
-            raw, rows, parts = random_rows(rng, lambda size: rng.uniform(-1.0, 6.0, size))
-            totals = np.array(
-                [max(0, int(round(part.clip(0).sum())) + int(rng.integers(-20, 21))) for part in parts]
-            )
-            shares = flatten._apportion(raw, rows, totals)
-            for r, part in enumerate(parts):
-                np.testing.assert_array_equal(shares[rows == r], round_robin_apportion(part, totals[r]))
-
-    def test_float_water_fill_matches_the_scan(self):
-        rng = np.random.default_rng(107)
-        for _ in range(300):
-            basins, rows, parts = random_rows(rng, lambda size: np.sort(rng.uniform(0.0, 12.0, size)))
-            volumes = np.array([rng.choice([1e-300, rng.uniform(0.0, 40.0)]) for _ in parts])
-            levels, ks = flatten._water_fill(basins, rows, volumes)
-            for r, part in enumerate(parts):
-                assert (levels[r], ks[r]) == scanned_water_fill(part, volumes[r])
-
     def test_capped_fill_matches_the_scan(self):
-        # Rows where every interval fills to its cap, volumes one grid unit
-        # short of filling an interval to its cap, and volumes of 0 and
-        # 1e-300 kWh come up among the random ones.  Float basins lie up
-        # to 0.4 grid units off the integer ones, which decide the caps.
+        # Rows with no interval, zero caps, rows where every interval
+        # binds, and volumes of 0 and of the whole room come up among
+        # the random ones.
         rng = np.random.default_rng(139)
-        scale = 1000
         seen = set()
         for _ in range(300):
-            basins, rows, parts = random_rows(rng, lambda size: rng.integers(-50, 10**6, size))
-            caps = rng.integers(0, 10**5, size=len(basins))
-            room = np.bincount(rows, caps).astype(np.int64)
-            kinds = rng.choice(["some", "edge", "all", "zero", "tiny"], size=len(parts))
+            basins, rows, parts = random_rows(rng, lambda size: rng.integers(-50, 200, size))
+            caps = rng.integers(0, 40, size=len(basins)) * (rng.random(len(basins)) < 0.8)
+            room = np.bincount(rows, caps, len(parts)).astype(np.int64)
+            kinds = rng.choice(["some", "none", "all"], size=len(parts))
             volumes = np.where(kinds == "all", room, np.where(kinds == "some", rng.integers(0, room + 1), 0))
-            for r in np.flatnonzero(kinds == "edge"):
-                row = rows == r
-                top = rng.choice(basins[row] + caps[row])
-                volumes[r] = max(0, np.clip(top - basins[row], 0, caps[row]).sum() - 1)
-            float_basins = basins / scale + rng.uniform(-0.4, 0.4, len(basins)) / scale
-            float_volumes = np.where(kinds == "tiny", 1e-300, volumes / scale)
-            shares = flatten._capped_fill(basins, caps, rows, volumes, float_basins, float_volumes, scale)
+            shares = flatten._capped_fill(basins, caps, rows, volumes)
             np.testing.assert_array_equal(np.bincount(rows, shares, len(parts)), volumes)
             assert np.all((shares >= 0) & (shares <= caps))
             for r in range(len(parts)):
                 row = rows == r
-                expected = scanned_capped_fill(
-                    basins[row], caps[row], volumes[r], float_basins[row], float_volumes[r], scale
-                )
-                np.testing.assert_array_equal(shares[row], expected)
-                if kinds[r] == "all":
-                    np.testing.assert_array_equal(shares[row], caps[row])
-            seen.update(kinds)
-        assert seen == {"some", "edge", "all", "zero", "tiny"}
+                np.testing.assert_array_equal(shares[row], scanned_capped_fill(basins[row], caps[row], volumes[r]))
+            seen.update(kinds[room > 0])
+            seen.update(["no interval"] * any(len(part) == 0 for part in parts) + ["zero cap"] * any(caps == 0))
+        assert seen == {"some", "none", "all", "no interval", "zero cap"}
+        # A lone row with no interval, and basins 1e5 grid units apart
+        # under volumes of 0 and 1.
+        none = np.array([], dtype=np.int64)
+        assert flatten._capped_fill(none, none, none, np.array([0])).shape == (0,)
+        basins, caps = np.array([0, 100_000, 50_000, 150_000]), np.array([3, 3, 3, 3])
+        shares = flatten._capped_fill(basins, caps, np.array([0, 0, 1, 1]), np.array([0, 1]))
+        np.testing.assert_array_equal(shares, [0, 0, 1, 0])
 
-    def test_capped_fill_holds_caps_and_volumes_off_its_floats(self, monkeypatch):
-        # Float basins and volumes up to three grid units off the integer
-        # ones put some float levels past a cap the grid leaves open; the
-        # fill then caps that share and apportions its row again.
-        calls = []
-        exact = flatten._apportion
-        monkeypatch.setattr(flatten, "_apportion", lambda *args: calls.append(1) or exact(*args))
-        rng = np.random.default_rng(149)
-        for _ in range(1000):
-            basins, rows, parts = random_rows(rng, lambda size: rng.integers(0, 30, size))
-            caps = rng.integers(0, 12, size=len(basins))
-            volumes = rng.integers(0, np.bincount(rows, caps).astype(np.int64) + 1)
-            float_basins = basins + rng.uniform(-3.0, 3.0, len(basins))
-            float_volumes = volumes + rng.uniform(-3.0, 3.0, len(volumes))
-            shares = flatten._capped_fill(basins, caps, rows, volumes, float_basins, float_volumes, 1)
-            np.testing.assert_array_equal(np.bincount(rows, shares, len(parts)), volumes)
-            assert np.all((shares >= 0) & (shares <= caps))
-        assert len(calls) > 1000
+    def test_capped_fill_minimizes_the_squares(self):
+        # Among every share vector of a tiny row that sums to its volume
+        # within the caps, the fill's has the least sum of squared levels;
+        # of those that tie, its units sit on the lowest basins, and the
+        # earliest interval among equal basins.
+        rng = np.random.default_rng(151)
+        for _ in range(500):
+            size = int(rng.integers(1, 5))
+            basins, caps = rng.integers(0, 6, size), rng.integers(0, 4, size)
+            volume = int(rng.integers(0, caps.sum() + 1))
+            shares = flatten._capped_fill(basins, caps, np.zeros(size, dtype=np.int64), np.array([volume]))
+            vectors = [
+                np.array(v) for v in itertools.product(*(range(cap + 1) for cap in caps)) if sum(v) == volume
+            ]
+            best = min(vectors, key=lambda v: (int(((basins + v) ** 2).sum()), int(basins @ v), tuple(-v)))
+            np.testing.assert_array_equal(shares, best)
 
 
 class TestFlattenProblem:

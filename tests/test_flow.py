@@ -9,11 +9,13 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
 from depotcharge import flow
+from depotcharge.cli import SCENARIOS, _solve_scenario
 from depotcharge.errors import InfeasibleError, ScalingOverflowError, SolverError
 from depotcharge.matching import match_week, to_jobs
-from depotcharge.model import Instance, Job, check_feasible, validate_schedule
+from depotcharge.model import BaseloadSeries, Instance, Job, check_feasible, validate_schedule
 from depotcharge.oracle import lp_min_co2
 from depotcharge.synth import sinusoid_emissions, synth_timetable, week_horizon
+from depotcharge.weighted import Weights
 
 from helpers import make_horizon, random_emissions, random_instance
 
@@ -587,6 +589,22 @@ class TestFeasibilityCut:
         report = check_feasible(instance)
         assert not report.feasible
         assert report.violating_jobs == frozenset({"a", "b"})
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS + ("capped co2",))
+def test_job_past_its_window_by_less_than_the_tolerance(scenario):
+    # Job allows an energy up to ENERGY_ATOL above the rate times the
+    # window width; every solver charges the window in full.
+    instance = Instance(make_horizon(4), (Job("a", 0, 4, 30.0 + 5e-7, 7.5),))
+    emissions = flow.EmissionSeries(np.array([0.3, 0.1, 0.2, 0.4]))
+    if scenario == "capped co2":
+        instance = replace(instance, caps_kwh=np.full(4, 10.0))
+        schedule = flow.solve_min_co2(instance, emissions)
+    else:
+        baseload = BaseloadSeries(np.array([1.0, 0.0, 2.0, 0.5]))
+        schedule = _solve_scenario(scenario, instance, emissions, baseload, Weights(1.0, 2.0))
+    validate_schedule(instance, schedule)
+    np.testing.assert_array_equal(schedule.aggregate_kwh, np.full(4, 7.5))
 
 
 class TestMaxFlowKernel:

@@ -145,7 +145,7 @@ def test_fill_that_misses_the_volume(unit, expected):
 def test_group_shares_that_never_route():
     run_optimized("""
         # Zero shares route nothing, so the cut takes in the whole group.
-        patch(flatten, "_apportion", lambda raw, rows, totals: np.zeros(len(raw), dtype=np.int64))
+        patch(flatten, "_capped_fill", lambda basins, *rest: np.zeros(len(basins), dtype=np.int64))
 
         def fault():
             flatten.solve_flatten(flatten.FlattenProblem(instance))
@@ -156,16 +156,16 @@ def test_group_shares_that_never_route_beside_a_routing_block():
     run_optimized("""
         # Two groups share a level: the first one's zero shares route
         # nothing while the second one's route in the same max flow.
-        exact = flatten._apportion
+        exact = flatten._capped_fill
 
-        def first_group_routes_nothing(raw, rows, totals):
+        def first_group_routes_nothing(basins, caps, rows, volumes):
             if len(np.unique(rows)) != 2:
-                raise SystemExit("the two groups are not apportioned together")
-            shares = exact(raw, rows, totals)
+                raise SystemExit("the two groups are not filled together")
+            shares = exact(basins, caps, rows, volumes)
             shares[rows == rows[0]] = 0
             return shares
 
-        patch(flatten, "_apportion", first_group_routes_nothing)
+        patch(flatten, "_capped_fill", first_group_routes_nothing)
         halves = Instance(horizon, (
             Job(id="a", arrival=0, departure=2, energy_kwh=4.0, max_rate_kwh=4.0),
             Job(id="b", arrival=2, departure=4, energy_kwh=1.0, max_rate_kwh=4.0),
@@ -201,9 +201,7 @@ def test_integer_water_fill_without_a_level():
     run_optimized("""
         # Caps of 1 and 2 grid units cannot hold a volume of 4.
         def fault():
-            flatten._capped_fill(
-                np.array([0, 0]), np.array([1, 2]), np.array([0, 0]), np.array([4]), np.zeros(2), np.array([4.0]), 1
-            )
+            flatten._capped_fill(np.array([0, 0]), np.array([1, 2]), np.array([0, 0]), np.array([4]))
     """, "found no level")
 
 
@@ -211,15 +209,8 @@ def test_integer_water_fill_without_basins():
     run_optimized("""
         def fault():
             none = np.array([], dtype=np.int64)
-            flatten._capped_fill(none, none, none, np.array([5]), np.array([]), np.array([5.0]), 1)
+            flatten._capped_fill(none, none, none, np.array([5]))
     """, "found no level")
-
-
-def test_negative_apportion_total():
-    run_optimized("""
-        def fault():
-            flatten._apportion(np.array([0.5, 0.5]), np.array([0, 0]), np.array([-1]))
-    """, "negative total")
 
 
 def test_completed_square_drift():
