@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Instance, Schedule
+from .model import Instance, Schedule, window_intervals
 
 
 def solve_uncontrolled(instance: Instance) -> Schedule:
@@ -20,13 +20,12 @@ def solve_uncontrolled(instance: Instance) -> Schedule:
     depot has no mechanism to enforce them.  The result is feasible for
     the cap-free relaxation of the instance.
     """
-    allocations: dict[str, np.ndarray] = {}
-    for job in instance.jobs:
-        width = job.departure - job.arrival
-        values = np.zeros(width)
-        full = min(int(job.energy_kwh // job.max_rate_kwh), width)
-        values[:full] = job.max_rate_kwh
-        if full < width:
-            values[full] = job.energy_kwh - full * job.max_rate_kwh
-        allocations[job.id] = values
-    return Schedule.build(instance, allocations)
+    jobs = instance.jobs
+    rates = np.array([job.max_rate_kwh for job in jobs])
+    energies = np.array([job.energy_kwh for job in jobs])
+    widths = np.array([job.departure - job.arrival for job in jobs], dtype=np.int64)
+    full = np.minimum(energies // rates, widths)
+    offset = window_intervals(np.zeros_like(widths), widths)  # index within the window
+    at = np.repeat(full, widths)
+    rest = np.where(offset == at, np.repeat(energies - full * rates, widths), 0.0)
+    return Schedule.of(instance, np.where(offset < at, np.repeat(rates, widths), rest))

@@ -217,14 +217,12 @@ def load_baseload(path: str | Path, horizon: Horizon) -> BaseloadSeries:
 
 
 def _parse_clock(text: str, row: int, column: str) -> timedelta:
-    parts = text.split(":")
-    if len(parts) != 2:
+    # Decimal digits only: int() would also take a sign, "_" and other scripts' digits.
+    parts = [part.strip() for part in text.split(":")]
+    if len(parts) != 2 or not all(part.isascii() and part.isdigit() for part in parts):
         raise ParseError(f"bad clock time {text!r}", row=row, column=column)
-    try:
-        hours, minutes = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError(f"bad clock time {text!r}", row=row, column=column) from None
-    if hours < 0 or not (0 <= minutes < 60):
+    hours, minutes = int(parts[0]), int(parts[1])
+    if minutes >= 60:
         raise ParseError(f"bad clock time {text!r}", row=row, column=column)
     return timedelta(hours=hours, minutes=minutes)
 

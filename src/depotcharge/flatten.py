@@ -107,7 +107,7 @@ def solve_flatten(problem: FlattenProblem) -> Schedule:
     instance = problem.instance
     jobs = instance.jobs
     if not jobs:
-        return Schedule.build(instance, {})
+        return Schedule.of(instance, [])
 
     base_f = problem.baseload_kwh()
     network, scale, e_int, l_int, _ = grid(instance, float(np.abs(base_f).sum()))

@@ -31,8 +31,10 @@ keeps the kernel's capacities and flattening's level sums in range.
 Rates and caps snap to the grid or are floored, energies round to
 nearest within what the floored rates can deliver, and emission factors
 sit at 1e-6 kg/kWh resolution.  The solvers are exact for inputs on the
-grid; :func:`read_schedule` repairs off-grid inputs back to exact
-delivery, a sub-unit adjustment covered by the validator tolerance.
+grid.  :func:`read_schedule` takes the job arcs' flows as the schedule's
+energy vector, whose layout is the job arcs', and repairs off-grid
+inputs back to exact delivery, a sub-unit adjustment covered by the
+validator tolerance.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, dijkstra, maximum_flow
 
 from .errors import InfeasibleError, ScalingOverflowError, SolverError
-from .model import Instance, Schedule, add_windows
+from .model import Instance, Schedule, row_sums, window_intervals
 
 #: Largest scaled magnitude representable exactly on the float path.
 _INT_LIMIT = 2**53
@@ -135,7 +137,7 @@ class JobIntervalNetwork:
         self.stops = starts + widths
         self.widths = widths
         self.arc_job = np.repeat(np.arange(n), widths)
-        self.arc_interval = np.arange(w) + np.repeat(starts - (np.cumsum(widths) - widths), widths)
+        self.arc_interval = window_intervals(starts, widths)
         nodes = self.node_count
         self.tails = np.concatenate(
             [np.zeros(n, dtype=np.int64), 1 + self.arc_job, 1 + n + np.arange(m)]
@@ -159,15 +161,6 @@ class JobIntervalNetwork:
         self._forward = np.concatenate([
             np.arange(n), n + 1 + self.arc_job + np.arange(w), 2 * n + w + per_interval + np.arange(m)
         ])
-
-    @classmethod
-    def from_instance(cls, instance: Instance) -> "JobIntervalNetwork":
-        """The network of every job and interval of an instance."""
-        return cls(
-            [job.arrival for job in instance.jobs],
-            [job.departure for job in instance.jobs],
-            instance.interval_count,
-        )
 
     @property
     def node_count(self) -> int:
@@ -218,10 +211,6 @@ class JobIntervalNetwork:
     def arc_flows(self, result) -> np.ndarray:
         """The flow per arc, in arc order, of a :func:`max_flow` result."""
         return result.flow.data[self._forward].astype(np.int64)
-
-    def job_windows(self, arc_values: np.ndarray) -> list[np.ndarray]:
-        """Per-job views of an arc array's job arcs, one window each."""
-        return np.split(arc_values[self.job_arcs()], np.cumsum(self.widths)[:-1])
 
 
 def block_level(starts, stops, job_block: np.ndarray, int_block: np.ndarray) -> tuple:
@@ -305,7 +294,8 @@ def grid(
     floored rate times the window width; :func:`read_schedule`
     restores the sub-unit rest.
     """
-    network = JobIntervalNetwork.from_instance(instance)
+    starts = [job.arrival for job in instance.jobs]
+    network = JobIntervalNetwork(starts, [job.departure for job in instance.jobs], instance.interval_count)
     energies = np.array([job.energy_kwh for job in instance.jobs], dtype=float)
     rates = np.array([job.max_rate_kwh for job in instance.jobs], dtype=float)
     pile = np.bincount(
@@ -539,44 +529,32 @@ def _greedy_cheapest_fill(instance: Instance, emissions: EmissionSeries) -> Sche
     return Schedule.build(instance, allocations)
 
 
-def row_sums(values: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
-    """Per-row sums of ``values``, grouped by the non-decreasing ``rows``.
-
-    Each equals numpy's own sum of its row, bit for bit: a zero ahead of
-    every row makes ``reduceat`` add the row as ``sum`` does.
-    """
-    lengths = np.bincount(rows, minlength=count)
-    padded = np.zeros(len(values) + count)
-    padded[np.arange(len(values)) + rows + 1] = values
-    return np.add.reduceat(padded, np.cumsum(lengths) - lengths + np.arange(count))
-
-
 def read_schedule(
     instance: Instance, network: JobIntervalNetwork, flows: np.ndarray, scale: int, key, load
 ) -> Schedule:
     """The schedule of an integer flow per arc of the instance's :func:`grid`.
 
-    Each job charges its job arcs' flow in kWh.  Only inputs off the
-    grid miss exact delivery, by below half a grid unit per job, and that
-    rest is pushed back: a positive one goes to the window intervals with
-    the lowest ``key`` that have rate (and cap) headroom, a negative one
-    comes out of the highest.  ``load`` is the per-interval load under
-    the charging; the windows and every step are added to it in place,
-    and caps bound it.  The minimum-CO2 solver orders by emission factor
+    The job arcs' flows in kWh, in arc order, are the schedule's energy
+    vector.  Only inputs off the grid miss exact delivery, by below half a
+    grid unit per job, and that rest is pushed back: a positive one goes
+    to the window intervals with the lowest ``key`` that have rate (and
+    cap) headroom, a negative one comes out of the highest.  ``load`` is
+    the per-interval load under the charging; the windows and every step
+    are added to it in place, and caps bound it.  The minimum-CO2 solver orders by emission factor
     over a zero load; flattening passes its totals as both key and load,
     so its order follows the steps.
     """
-    jobs, caps, kwh = instance.jobs, instance.caps_kwh, flows / scale
-    windows = network.job_windows(kwh)
-    add_windows(load, [job.arrival for job in jobs], windows)
+    jobs, caps, kwh = instance.jobs, instance.caps_kwh, flows[network.job_arcs()] / scale
+    np.add.at(load, network.arc_interval, kwh)
     # Only the jobs whose windows miss their energy enter the loop.
-    sums = row_sums(kwh[network.job_arcs()], network.arc_job, len(jobs))
+    sums = row_sums(kwh, network.arc_job, len(jobs))
     # A job may ask up to ENERGY_ATOL more than its rate times its window
     # width holds; it is aimed at what the window holds.
     rates = np.array([job.max_rate_kwh for job in jobs])
     aims = np.minimum([job.energy_kwh for job in jobs], rates * network.widths)
+    ends = np.cumsum(network.widths)
     for k in np.flatnonzero(np.abs(aims - sums) >= 1e-12):
-        job, values = jobs[k], windows[k]
+        job, values = jobs[k], kwh[ends[k] - network.widths[k] : ends[k]]
         residual = float(aims[k]) - float(values.sum())
         if abs(residual) < 1e-12:
             continue
@@ -602,7 +580,7 @@ def read_schedule(
             raise InfeasibleError(
                 f"job {job.id!r}: cannot restore exact delivery after integer scaling"
             )
-    return Schedule.build(instance, {job.id: values for job, values in zip(jobs, windows)})
+    return Schedule.of(instance, kwh)
 
 
 def solve_min_co2(instance: Instance, emissions: EmissionSeries) -> Schedule:

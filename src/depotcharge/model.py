@@ -196,51 +196,76 @@ class BaseloadSeries:
         return len(self.kwh)
 
 
-def add_windows(total: np.ndarray, starts, windows: list[np.ndarray]) -> None:
-    """Add every window array into ``total`` from its start, in place.
+def window_intervals(starts, widths) -> np.ndarray:
+    """The interval of each entry of windows laid end to end, job-major:
+    ``widths[k]`` entries from ``starts[k]`` for job k."""
+    starts, widths = np.asarray(starts, dtype=np.int64), np.asarray(widths, dtype=np.int64)
+    return np.arange(int(widths.sum())) + np.repeat(starts - (np.cumsum(widths) - widths), widths)
 
-    One pass over the windows laid end to end: each interval takes its
-    windows in list order, as a loop of slice additions would.
+
+def row_sums(values: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
+    """Per-row sums of ``values``, grouped by the non-decreasing ``rows``.
+
+    Each equals numpy's own sum of its row, bit for bit: a zero ahead of
+    every row makes ``reduceat`` add the row as ``sum`` does.
     """
-    if not windows:
-        return
-    widths = np.array([len(values) for values in windows])
-    offsets = np.asarray(starts, dtype=np.int64) - (np.cumsum(widths) - widths)
-    flat = np.concatenate(windows)
-    np.add.at(total, np.arange(len(flat)) + np.repeat(offsets, widths), flat)
+    lengths = np.bincount(rows, minlength=count)
+    padded = np.zeros(len(values) + count)
+    padded[np.arange(len(values)) + rows + 1] = values
+    return np.add.reduceat(padded, np.cumsum(lengths) - lengths + np.arange(count))
 
 
-def _sum_windows(
-    interval_count: int,
-    window_starts: Mapping[str, int],
-    window_energy: Mapping[str, np.ndarray],
-) -> np.ndarray:
-    # Shared by Schedule.build and aggregate() so the stored aggregate is
-    # bitwise recomputable.
-    total = np.zeros(interval_count, dtype=float)
-    add_windows(total, [window_starts[job_id] for job_id in window_energy], list(window_energy.values()))
-    return total
+def _windows(jobs) -> tuple[np.ndarray, np.ndarray]:
+    """Each job's first window interval and window width."""
+    starts = np.array([job.arrival for job in jobs], dtype=np.int64)
+    return starts, np.array([job.departure for job in jobs], dtype=np.int64) - starts
+
+
+def _profile(instance: Instance, energy: np.ndarray) -> np.ndarray:
+    # Shared by Schedule.of and aggregate(), so the stored aggregate is
+    # bitwise recomputable; bincount gives int64 when there are no entries.
+    intervals = window_intervals(*_windows(instance.jobs))
+    return np.bincount(intervals, energy, instance.interval_count).astype(float, copy=False)
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """Per-job, per-interval energy allocations.
+    """Per-job, per-interval energy allocations of one instance.
 
-    Allocations are stored window-dense: each job carries one array that
-    spans exactly its availability window, so energy outside a window is
-    unrepresentable.  Arrays are read-only after construction.
+    Allocations are stored window-dense in the layout of the job arcs of
+    :class:`~depotcharge.flow.JobIntervalNetwork`: every job's window, end
+    to end in instance order, so energy outside a window is
+    unrepresentable.  Arrays are read-only.
 
     Attributes:
-        interval_count: Length of the horizon the schedule refers to.
-        window_starts: First window interval per job id.
-        window_energy: Energy per window interval per job id (kWh).
+        instance: The instance the schedule belongs to.
+        energy: Energy per window interval of every job (kWh), job-major.
         aggregate_kwh: Summed charging profile, length ``interval_count``.
+        window_energy: Per job id, the view of its window in ``energy``.
     """
 
-    interval_count: int
-    window_starts: dict[str, int]
-    window_energy: dict[str, np.ndarray]
+    instance: Instance
+    energy: np.ndarray
     aggregate_kwh: np.ndarray
+    window_energy: dict[str, np.ndarray]
+
+    @property
+    def interval_count(self) -> int:
+        return self.instance.interval_count
+
+    @classmethod
+    def of(cls, instance: Instance, energy) -> "Schedule":
+        """The schedule of a copy of ``energy``: every job's window, end to
+        end in instance order.  A wrong length raises ``ValueError``."""
+        widths = _windows(instance.jobs)[1]
+        energy = np.array(energy, dtype=float)
+        if energy.shape != (int(widths.sum()),):
+            raise ValueError(f"energy has shape {energy.shape}, the windows need ({widths.sum()},)")
+        energy.setflags(write=False)
+        total = _profile(instance, energy)
+        total.setflags(write=False)
+        views = np.split(energy, np.cumsum(widths)[:-1])
+        return cls(instance, energy, total, {job.id: view for job, view in zip(instance.jobs, views)})
 
     @classmethod
     def build(cls, instance: Instance, allocations: Mapping[str, np.ndarray]) -> "Schedule":
@@ -253,39 +278,22 @@ class Schedule:
         unknown = set(allocations) - known
         if unknown:
             raise ValueError(f"allocations for unknown jobs: {sorted(unknown)}")
-        starts: dict[str, int] = {}
-        energy: dict[str, np.ndarray] = {}
+        parts = []
         for job in instance.jobs:
             width = job.departure - job.arrival
             values = allocations.get(job.id)
-            if values is None:
-                arr = np.zeros(width, dtype=float)
-            else:
-                arr = np.asarray(values, dtype=float).copy()
-                if arr.shape != (width,):
-                    raise ValueError(
-                        f"job {job.id!r}: allocation has shape {arr.shape}, window needs ({width},)"
-                    )
-            arr.setflags(write=False)
-            starts[job.id] = job.arrival
-            energy[job.id] = arr
-        total = _sum_windows(instance.interval_count, starts, energy)
-        total.setflags(write=False)
-        return cls(
-            interval_count=instance.interval_count,
-            window_starts=starts,
-            window_energy=energy,
-            aggregate_kwh=total,
-        )
-
-    def window(self, job_id: str) -> tuple[int, np.ndarray]:
-        """Return ``(window_start, energies)`` for one job."""
-        return self.window_starts[job_id], self.window_energy[job_id]
+            values = np.zeros(width) if values is None else np.asarray(values, dtype=float)
+            if values.shape != (width,):
+                raise ValueError(
+                    f"job {job.id!r}: allocation has shape {values.shape}, window needs ({width},)"
+                )
+            parts.append(values)
+        return cls.of(instance, np.concatenate(parts) if parts else [])
 
 
 def aggregate(schedule: Schedule) -> np.ndarray:
     """Recompute the summed charging profile from the allocations."""
-    return _sum_windows(schedule.interval_count, schedule.window_starts, schedule.window_energy)
+    return _profile(schedule.instance, schedule.energy)
 
 
 def validate_schedule(
@@ -293,34 +301,36 @@ def validate_schedule(
 ) -> None:
     """Check a schedule against the instance constraints.
 
-    Verifies, per entry and within ``atol`` kWh: non-negativity, the
+    The schedule must belong to the instance's jobs and horizon.  Then,
+    per entry and within ``atol`` kWh: finite values, non-negativity, the
     per-interval rate bound, exact delivery of each job's energy (small
-    over-delivery is tolerated, never required), window coverage, the
-    aggregate caps when present, and that the stored aggregate equals its
-    recomputation bit for bit.  Raises ``ValueError`` on the first
-    violated family.
+    over-delivery is tolerated, never required), that the stored
+    aggregate equals its recomputation bit for bit, and the aggregate
+    caps when present.  Raises ``ValueError`` on the first violated
+    family, naming its first job.
     """
-    if schedule.interval_count != instance.interval_count:
+    jobs, values = instance.jobs, schedule.energy
+    widths = _windows(jobs)[1]
+    same = schedule.instance.jobs == jobs and schedule.instance.horizon == instance.horizon
+    if not same or values.shape != (int(widths.sum()),):
+        raise ValueError("schedule is not laid out for the instance's jobs and horizon")
+    entry_job = np.repeat(np.arange(len(jobs)), widths)
+    rates = np.array([job.max_rate_kwh for job in jobs])
+    for message, spoiled in (
+        ("allocation is not finite", ~np.isfinite(values)),
+        ("negative allocation", values < -atol),
+        ("allocation exceeds the per-interval rate bound", values > rates[entry_job] + atol),
+    ):
+        if spoiled.any():
+            raise ValueError(f"job {jobs[entry_job[np.argmax(spoiled)]].id!r}: {message}")
+    delivered = row_sums(values, entry_job, len(jobs))
+    missed = np.flatnonzero(np.abs(delivered - [job.energy_kwh for job in jobs]) > atol)
+    if len(missed):
+        job = jobs[missed[0]]
         raise ValueError(
-            f"schedule spans {schedule.interval_count} intervals, instance has {instance.interval_count}"
+            f"job {job.id!r}: delivered {float(delivered[missed[0]])} kWh, requires {job.energy_kwh} kWh"
         )
-    if set(schedule.window_energy) != {job.id for job in instance.jobs}:
-        raise ValueError("schedule and instance disagree on the set of jobs")
-    for job in instance.jobs:
-        start, values = schedule.window(job.id)
-        if start != job.arrival or len(values) != job.departure - job.arrival:
-            raise ValueError(f"job {job.id!r}: schedule window does not match the job window")
-        if np.any(values < -atol):
-            raise ValueError(f"job {job.id!r}: negative allocation")
-        if np.any(values > job.max_rate_kwh + atol):
-            raise ValueError(f"job {job.id!r}: allocation exceeds the per-interval rate bound")
-        delivered = float(values.sum())
-        if abs(delivered - job.energy_kwh) > atol:
-            raise ValueError(
-                f"job {job.id!r}: delivered {delivered} kWh, requires {job.energy_kwh} kWh"
-            )
-    recomputed = aggregate(schedule)
-    if not np.array_equal(recomputed, schedule.aggregate_kwh):
+    if not np.array_equal(aggregate(schedule), schedule.aggregate_kwh):
         raise ValueError("stored aggregate does not match its recomputation")
     if instance.caps_kwh is not None:
         excess = schedule.aggregate_kwh - instance.caps_kwh

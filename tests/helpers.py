@@ -6,7 +6,9 @@ from datetime import datetime
 
 import numpy as np
 
-from depotcharge.model import EXCHANGE_ATOL, Horizon, Instance, Job, Schedule, validate_schedule
+from depotcharge.model import (
+    ENERGY_ATOL, EXCHANGE_ATOL, Horizon, Instance, Job, Schedule, validate_schedule,
+)
 
 WEEK_START = datetime(2023, 6, 5)
 
@@ -63,6 +65,43 @@ def assert_valid(instance: Instance, schedule: Schedule) -> None:
     validate_schedule(instance, schedule)
 
 
+def reference_validate(instance: Instance, schedule: Schedule, atol: float = ENERGY_ATOL) -> None:
+    """``validate_schedule``'s checks of the entries, the aggregate and the
+    caps, job by job with one numpy call per check, as the validator ran
+    before its array passes, plus their check that every entry is finite.
+
+    Where one job fails it raises what ``validate_schedule`` raises.  Where
+    several fail it names the first failing job, and ``validate_schedule``
+    the first job of the first failing family.
+    """
+    for job in instance.jobs:
+        values = schedule.window_energy[job.id]
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"job {job.id!r}: allocation is not finite")
+        if np.any(values < -atol):
+            raise ValueError(f"job {job.id!r}: negative allocation")
+        if np.any(values > job.max_rate_kwh + atol):
+            raise ValueError(f"job {job.id!r}: allocation exceeds the per-interval rate bound")
+        delivered = float(values.sum())
+        if abs(delivered - job.energy_kwh) > atol:
+            raise ValueError(
+                f"job {job.id!r}: delivered {delivered} kWh, requires {job.energy_kwh} kWh"
+            )
+    recomputed = np.zeros(instance.interval_count)
+    for job in instance.jobs:
+        recomputed[job.arrival : job.departure] += schedule.window_energy[job.id]
+    if not np.array_equal(recomputed, schedule.aggregate_kwh):
+        raise ValueError("stored aggregate does not match its recomputation")
+    if instance.caps_kwh is not None:
+        excess = schedule.aggregate_kwh - instance.caps_kwh
+        worst = int(np.argmax(excess))
+        if excess[worst] > atol:
+            raise ValueError(
+                f"interval {worst}: aggregate {schedule.aggregate_kwh[worst]} kWh exceeds cap "
+                f"{instance.caps_kwh[worst]} kWh"
+            )
+
+
 def assert_exchange_optimal(
     instance: Instance,
     schedule: Schedule,
@@ -80,7 +119,7 @@ def assert_exchange_optimal(
     if baseload is not None:
         levels = levels + baseload
     for job in instance.jobs:
-        _, values = schedule.window(job.id)
+        values = schedule.window_energy[job.id]
         window_levels = levels[job.arrival : job.departure]
         donors = values > 1e-6
         receivers = values < job.max_rate_kwh - 1e-6

@@ -313,6 +313,30 @@ class TestTimetable:
         with pytest.raises(ParseError):
             load_timetable(path)
 
+    @pytest.mark.parametrize(
+        "start, end, column",
+        [("-0:30", "18:00", "start"), ("07:30", "+7:30", "end"), ("07:30", "1_8:00", "end")],
+    )
+    def test_signed_clock_time_names_its_cell(self, tmp_path, start, end, column):
+        path = tmp_path / "timetable.csv"
+        path.write_text(
+            "day,line_id,start,end,bus_type,soc_after_kwh\n"
+            "0,l1,07:00,18:00,SMALL,40.0\n"
+            f"0,l2,{start},{end},SMALL,40.0\n"
+        )
+        with pytest.raises(ParseError, match="bad clock time") as excinfo:
+            load_timetable(path)
+        assert (excinfo.value.row, excinfo.value.column) == (3, column)
+
+    def test_clock_time_parts_may_carry_spaces(self, tmp_path):
+        path = tmp_path / "timetable.csv"
+        path.write_text(
+            "day,line_id,start,end,bus_type,soc_after_kwh\n"
+            "0,l1, 07 :30,25: 05 ,SMALL,40.0\n"
+        )
+        (line,) = load_timetable(path).lines
+        assert (line.end - line.start) == timedelta(hours=17, minutes=35)
+
 
 class TestReportRoundTrip:
     def test_values_survive_exactly(self, tmp_path):

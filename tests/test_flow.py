@@ -139,7 +139,7 @@ class TestSolveMinCo2:
         emissions = flow.EmissionSeries(np.array([0.3, 0.1, 0.2]))
         schedule = flow.solve_min_co2(instance, emissions)
         validate_schedule(instance, schedule)
-        _, values = schedule.window("a")
+        values = schedule.window_energy["a"]
         assert np.allclose(values, [0.0, 3.0, 1.0])
         assert co2_total(schedule, emissions) == pytest.approx(0.5, rel=1e-9)
 
@@ -686,17 +686,6 @@ def residual_bfs(network, capacities, flows):
         frontier = [nxt for node in frontier for nxt in residual[node] if nxt not in seen]
         seen.update(frontier)
     return np.isin(np.arange(network.node_count), list(seen))
-
-
-class TestRowSums:
-    def test_each_row_sums_as_numpy_sums_it(self):
-        rng = np.random.default_rng(149)
-        for _ in range(100):
-            lengths = rng.integers(0, 300, size=int(rng.integers(1, 6)))
-            parts = [rng.uniform(0.0, 50.0, size) * 10.0 ** rng.integers(-3, 4) for size in lengths]
-            rows = np.repeat(np.arange(len(parts)), lengths)
-            sums = flow.row_sums(np.concatenate(parts), rows, len(parts))
-            assert sums.tobytes() == np.array([part.sum() for part in parts]).tobytes()
 
 
 class TestResidualCut:

@@ -1,5 +1,6 @@
 """Tests for the core data model."""
 
+import dataclasses
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -13,10 +14,14 @@ from depotcharge.model import (
     Schedule,
     aggregate,
     check_feasible,
+    row_sums,
     validate_schedule,
 )
+from depotcharge.baseline import solve_uncontrolled
+from depotcharge.flatten import FlattenProblem, solve_flatten
+from depotcharge.flow import EmissionSeries, solve_min_co2
 
-from helpers import WEEK_START, make_horizon, random_instance
+from helpers import WEEK_START, make_horizon, random_emissions, random_instance, reference_validate
 
 
 class TestHorizon:
@@ -109,10 +114,51 @@ class TestSchedule:
         )
         instance = Instance(horizon, jobs)
         schedule = Schedule.build(instance, {"b": np.array([1.0, 1.0])})
-        start, values = schedule.window("a")
-        assert start == 0
-        np.testing.assert_array_equal(values, [0.0, 0.0])
+        np.testing.assert_array_equal(schedule.window_energy["a"], [0.0, 0.0])
         np.testing.assert_allclose(schedule.aggregate_kwh, [0.0, 1.0, 1.0])
+
+    def test_of_rejects_a_wrong_length(self):
+        jobs = (
+            Job(id="a", arrival=0, departure=2, energy_kwh=1.0, max_rate_kwh=1.0),
+            Job(id="b", arrival=1, departure=3, energy_kwh=1.0, max_rate_kwh=1.0),
+        )
+        instance = Instance(make_horizon(3), jobs)
+        for energy in ([0.5, 0.5, 0.5], [0.5] * 5, [[0.5, 0.5], [0.5, 0.5]]):
+            with pytest.raises(ValueError, match="the windows need"):
+                Schedule.of(instance, energy)
+
+    def test_energy_and_its_views_are_read_only(self):
+        jobs = (
+            Job(id="a", arrival=0, departure=2, energy_kwh=1.0, max_rate_kwh=1.0),
+            Job(id="b", arrival=1, departure=3, energy_kwh=1.0, max_rate_kwh=1.0),
+        )
+        instance = Instance(make_horizon(3), jobs)
+        given = np.array([0.5, 0.5, 0.25, 0.75])
+        schedule = Schedule.of(instance, given)
+        given[0] = 9.0
+        np.testing.assert_array_equal(schedule.window_energy["b"], [0.25, 0.75])
+        assert schedule.window_energy["a"].base is schedule.energy
+        for array in (schedule.energy, schedule.window_energy["b"], schedule.aggregate_kwh):
+            with pytest.raises(ValueError):
+                array[0] = 9.0
+        assert schedule.energy[0] == 0.5
+
+    def test_no_jobs_give_a_float_zero_aggregate(self):
+        instance = Instance(make_horizon(4), ())
+        baseload = BaseloadSeries(np.arange(4.0))
+        emissions = EmissionSeries(np.full(4, 0.2))
+        for schedule in (
+            Schedule.build(instance, {}),
+            Schedule.of(instance, []),
+            solve_uncontrolled(instance),
+            solve_flatten(FlattenProblem(instance)),
+            solve_flatten(FlattenProblem(instance, baseload)),
+            solve_min_co2(instance, emissions),
+        ):
+            assert schedule.aggregate_kwh.dtype == np.float64
+            assert schedule.aggregate_kwh.tobytes() == np.zeros(4).tobytes()
+            assert schedule.window_energy == {}
+            validate_schedule(instance, schedule)
 
     def test_build_rejects_unknown_job(self):
         horizon = make_horizon(3)
@@ -189,6 +235,123 @@ class TestValidateSchedule:
         schedule = Schedule.build(instance, {"a": np.array([1.5, 0.5])})
         with pytest.raises(ValueError):
             validate_schedule(instance, schedule)
+
+
+    def test_rejects_non_finite_allocation(self):
+        instance = self._simple()
+        for bad in (np.nan, np.inf):
+            schedule = Schedule.build(instance, {"a": np.array([bad, 1.0])})
+            with pytest.raises(ValueError, match="job 'a': allocation is not finite"):
+                validate_schedule(instance, schedule)
+
+    def test_rejects_another_instances_jobs(self):
+        instance = self._simple()
+        schedule = Schedule.build(instance, {"a": np.array([1.0, 1.0])})
+        others = (
+            (Job(id="a", arrival=0, departure=2, energy_kwh=2.0, max_rate_kwh=1.25),),
+            (Job(id="b", arrival=0, departure=2, energy_kwh=2.0, max_rate_kwh=1.5),),
+            (Job(id="a", arrival=1, departure=2, energy_kwh=1.0, max_rate_kwh=1.5),),
+            instance.jobs + (Job(id="b", arrival=0, departure=1, energy_kwh=0.0, max_rate_kwh=1.0),),
+        )
+        for jobs in others:
+            with pytest.raises(ValueError, match="not laid out for the instance's jobs and horizon"):
+                validate_schedule(Instance(instance.horizon, jobs), schedule)
+
+    def test_rejects_another_horizon(self):
+        instance = self._simple()
+        schedule = Schedule.build(instance, {"a": np.array([1.0, 1.0])})
+        for horizon in (
+            make_horizon(3),
+            make_horizon(2, interval_hours=0.5),
+            Horizon(start=WEEK_START + timedelta(days=1), interval_count=2),
+        ):
+            with pytest.raises(ValueError, match="not laid out for the instance's jobs and horizon"):
+                validate_schedule(Instance(horizon, instance.jobs), schedule)
+
+    def test_rejects_a_tampered_layout(self):
+        instance = self._simple()
+        schedule = Schedule.build(instance, {"a": np.array([1.0, 1.0])})
+        validate_schedule(instance, dataclasses.replace(schedule, instance=self._simple()))
+        with pytest.raises(ValueError, match="stored aggregate does not match its recomputation"):
+            validate_schedule(instance, dataclasses.replace(schedule, aggregate_kwh=np.array([1.0, 1.5])))
+        with pytest.raises(ValueError, match="not laid out"):
+            validate_schedule(instance, dataclasses.replace(schedule, energy=np.array([1.0, 1.0, 0.0])))
+
+    def test_one_spoiled_job_fails_as_job_by_job(self):
+        # Every family of entry fault, spoiled into one job of a valid
+        # schedule, draws the verdict and message of the per-job reference.
+        rng = np.random.default_rng(151)
+        families = ["negative allocation", "exceeds the per-interval rate bound", "delivered",
+                    "delivered", "not finite", "exceeds cap"]
+        seen = [0] * len(families)
+        for trial in range(300):
+            instance = random_instance(rng, max_jobs=8, max_intervals=20)
+            windows = {key: np.array(values) for key, values in solve_uncontrolled(instance).window_energy.items()}
+            job = instance.jobs[int(rng.integers(len(instance.jobs)))]
+            values = windows[job.id]
+            at = int(rng.integers(len(values)))
+            kind = trial % 6
+            if kind == 0:
+                values[at] = -float(rng.choice([1e-3, 1.0]))
+            elif kind == 1:
+                values[at] = job.max_rate_kwh + float(rng.choice([1e-5, 1.0]))
+            elif kind == 2:
+                values[np.argmax(values)] -= float(rng.choice([1e-5, 1e-3]))
+            elif kind == 3:
+                values[np.argmin(values)] += float(rng.choice([1e-5, 1e-3]))
+            elif kind == 4:
+                values[at] = float(rng.choice([np.nan, np.inf]))
+            caps = None
+            if kind == 5:
+                # Moving energy within a job lifts one interval past a cap
+                # set at the unspoiled profile.
+                caps = Schedule.build(instance, windows).aggregate_kwh
+                if len(values) < 2 or values[0] < 1e-3:
+                    continue
+                values[0] -= 1e-3
+                values[-1] += 1e-3
+            instance = Instance(instance.horizon, instance.jobs, caps_kwh=caps)
+            schedule = Schedule.build(instance, windows)
+            with pytest.raises(ValueError) as expected:
+                reference_validate(instance, schedule)
+            with pytest.raises(ValueError) as got:
+                validate_schedule(instance, schedule)
+            assert str(got.value) == str(expected.value)
+            assert families[kind] in str(got.value)
+            seen[kind] += 1
+        assert min(seen) > 20, seen
+
+    def test_valid_schedules_pass_both(self):
+        rng = np.random.default_rng(157)
+        for _ in range(50):
+            instance = random_instance(rng, max_jobs=8, max_intervals=20, with_caps=True)
+            schedule = solve_min_co2(instance, EmissionSeries(random_emissions(rng, instance.interval_count)))
+            reference_validate(instance, schedule)
+            validate_schedule(instance, schedule)
+
+    def test_several_spoiled_jobs_fail_family_first(self):
+        horizon = make_horizon(2)
+        jobs = (
+            Job(id="a", arrival=0, departure=2, energy_kwh=2.0, max_rate_kwh=1.5),
+            Job(id="b", arrival=0, departure=2, energy_kwh=2.0, max_rate_kwh=1.5),
+        )
+        instance = Instance(horizon, jobs)
+        schedule = Schedule.build(instance, {"a": np.array([1.75, 0.25]), "b": np.array([-0.25, 2.25])})
+        with pytest.raises(ValueError, match="job 'a': allocation exceeds"):
+            reference_validate(instance, schedule)
+        with pytest.raises(ValueError, match="job 'b': negative allocation"):
+            validate_schedule(instance, schedule)
+
+
+class TestRowSums:
+    def test_each_row_sums_as_numpy_sums_it(self):
+        rng = np.random.default_rng(149)
+        for _ in range(100):
+            lengths = rng.integers(0, 300, size=int(rng.integers(1, 6)))
+            parts = [rng.uniform(0.0, 50.0, size) * 10.0 ** rng.integers(-3, 4) for size in lengths]
+            rows = np.repeat(np.arange(len(parts)), lengths)
+            sums = row_sums(np.concatenate(parts), rows, len(parts))
+            assert sums.tobytes() == np.array([part.sum() for part in parts]).tobytes()
 
 
 class TestCheckFeasible:
