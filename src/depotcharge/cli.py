@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -198,24 +198,15 @@ def run_week(config: WeekConfig) -> tuple[metrics.ScenarioReport, ...]:
             raise type(exc)(f"scenario {label!r}: {exc}") from exc
         schedules[label] = schedule
 
-    baseline_report = None
-    if "uncontrolled" in schedules:
-        baseline_report = metrics.scenario_report(
-            "uncontrolled",
-            schedules["uncontrolled"].aggregate_kwh,
-            emissions.kg_per_kwh,
-            horizon.interval_hours,
-        )
     reports = tuple(
         metrics.scenario_report(
-            label,
-            schedule.aggregate_kwh,
-            emissions.kg_per_kwh,
-            horizon.interval_hours,
-            baseline=None if label == "uncontrolled" else baseline_report,
+            label, schedule.aggregate_kwh, emissions.kg_per_kwh, horizon.interval_hours
         )
         for label, schedule in schedules.items()
     )
+    baseline = next((report for report in reports if report.scenario == "uncontrolled"), None)
+    if baseline is not None:
+        reports = tuple(report if report is baseline else report.versus(baseline) for report in reports)
 
     hours = horizon.interval_hours
     data.write_profiles(
@@ -292,24 +283,10 @@ def run_flexibility(config: FlexibilityConfig) -> FlexibilityResult:
         },
         emissions,
     )
-    with open(out_dir / "flexibility_report.csv", "w", newline="") as handle:
-        handle.write(
-            "baseload_peak_kw,bus_only_flat_peak_kw,coordinated_peak_kw,"
-            "additional_kw,gain_pct\n"
-        )
-        handle.write(
-            ",".join(
-                repr(float(value))
-                for value in (
-                    result.baseload_peak_kw,
-                    result.bus_only_flat_peak_kw,
-                    result.coordinated_peak_kw,
-                    result.additional_kw,
-                    result.gain_pct,
-                )
-            )
-            + "\n"
-        )
+    # The result's fields are the first three flexibility report columns.
+    data.write_flexibility_report(
+        out_dir / "flexibility_report.csv", (*astuple(result), result.additional_kw, result.gain_pct)
+    )
     return result
 
 

@@ -18,18 +18,22 @@ safe.  Schemas:
    reduction percentages.
  - sweep: one row per flatness weight with the resulting peak,
    emissions, and flatness.
+ - flexibility report: ``baseload_peak_kw,bus_only_flat_peak_kw,
+   coordinated_peak_kw,additional_kw,gain_pct``, one row.
 
-Floats are serialized with ``repr``, the shortest round-tripping form,
-so rewriting identical results yields byte-identical files.
+Every file is written by :func:`_write_csv`: a text cell as it is, a
+missing value as an empty cell, and any number as ``repr(float(x))``,
+the shortest round-tripping form, with ``\r\n`` line ends.  So
+rewriting identical results yields byte-identical files.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -57,6 +61,14 @@ SWEEP_COLUMNS = ("flatness_weight", "peak_kw", "co2_kg", "flatness_kwh2")
 
 TIMETABLE_COLUMNS = ("day", "line_id", "start", "end", "bus_type", "soc_after_kwh")
 
+FLEXIBILITY_COLUMNS = (
+    "baseload_peak_kw",
+    "bus_only_flat_peak_kw",
+    "coordinated_peak_kw",
+    "additional_kw",
+    "gain_pct",
+)
+
 
 @dataclass(frozen=True)
 class LineTimetable:
@@ -75,10 +87,6 @@ class LineTimetable:
             if line.day < 7:
                 counts[line.day] += 1
         return tuple(counts)
-
-
-def _format(value: float) -> str:
-    return repr(float(value))
 
 
 def _read_rows(path: str | Path, required: Sequence[str]) -> list[tuple[int, dict[str, str]]]:
@@ -216,10 +224,14 @@ def load_baseload(path: str | Path, horizon: Horizon) -> BaseloadSeries:
     return BaseloadSeries(_clip_to_horizon(path, first, step, values, horizon))
 
 
-def _parse_clock(text: str, row: int, column: str) -> timedelta:
+def _is_digits(text: str) -> bool:
     # Decimal digits only: int() would also take a sign, "_" and other scripts' digits.
+    return text.isascii() and text.isdigit()
+
+
+def _parse_clock(text: str, row: int, column: str) -> timedelta:
     parts = [part.strip() for part in text.split(":")]
-    if len(parts) != 2 or not all(part.isascii() and part.isdigit() for part in parts):
+    if len(parts) != 2 or not all(_is_digits(part) for part in parts):
         raise ParseError(f"bad clock time {text!r}", row=row, column=column)
     hours, minutes = int(parts[0]), int(parts[1])
     if minutes >= 60:
@@ -235,12 +247,9 @@ def load_timetable(
     lines = []
     seen: set[tuple[int, str]] = set()
     for line_no, row in rows:
-        try:
-            day = int(row["day"])
-        except ValueError:
-            raise ParseError(
-                f"bad day {row['day']!r}", row=line_no, column="day"
-            ) from None
+        if not _is_digits(row["day"].strip()):
+            raise ParseError(f"bad day {row['day']!r}", row=line_no, column="day")
+        day = int(row["day"])
         if not 0 <= day <= 6:
             raise SchemaError("day must be 0..6", row=line_no, column="day")
         token = row["bus_type"].strip().upper()
@@ -272,27 +281,39 @@ def load_timetable(
     return LineTimetable(lines=tuple(lines), week_start=week_start)
 
 
-def write_timetable(path: str | Path, timetable: LineTimetable) -> None:
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Iterable]) -> None:
+    """The one CSV writer: a ``str`` cell as it is, None empty, any other ``repr(float(cell))``."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(TIMETABLE_COLUMNS)
-        for line in timetable.lines:
-            anchor = timetable.week_start + timedelta(days=line.day)
-            writer.writerow(
-                [
-                    line.day,
-                    line.line_id,
-                    _clock_of(line.start - anchor),
-                    _clock_of(line.end - anchor),
-                    line.bus_type.name,
-                    _format(line.soc_after_kwh),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(
+            [cell if isinstance(cell, str) else "" if cell is None else repr(float(cell)) for cell in row]
+            for row in rows
+        )
+
+
+def write_timetable(path: str | Path, timetable: LineTimetable) -> None:
+    def row(line: LineRecord) -> tuple:
+        anchor = timetable.week_start + timedelta(days=line.day)
+        return (
+            str(line.day),
+            line.line_id,
+            _clock_of(line.start - anchor),
+            _clock_of(line.end - anchor),
+            line.bus_type.name,
+            line.soc_after_kwh,
+        )
+
+    _write_csv(path, TIMETABLE_COLUMNS, map(row, timetable.lines))
 
 
 def _clock_of(delta: timedelta) -> str:
     minutes = int(round(delta.total_seconds() / 60.0))
     return f"{minutes // 60:02d}:{minutes % 60:02d}"
+
+
+def _timestamps(horizon: Horizon) -> list[str]:
+    return [horizon.timestamp(i).isoformat() for i in range(horizon.interval_count)]
 
 
 def write_emissions(path: str | Path, emissions: EmissionSeries, horizon: Horizon) -> None:
@@ -308,11 +329,7 @@ def _write_series(
 ) -> None:
     if len(values) != horizon.interval_count:
         raise ValueError("series length does not match the horizon")
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["timestamp", column])
-        for i, value in enumerate(values):
-            writer.writerow([horizon.timestamp(i).isoformat(), _format(value)])
+    _write_csv(path, ("timestamp", column), zip(_timestamps(horizon), values))
 
 
 def write_profiles(
@@ -329,61 +346,27 @@ def write_profiles(
             raise ValueError(f"scenario {label!r} profile length does not match")
     if len(baseload_kw) != m or len(emissions) != m:
         raise ValueError("baseload or emission length does not match the horizon")
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["timestamp", "baseload_kw"]
-            + [f"{label}_kw" for label in scenario_kw]
-            + ["co2_kg_per_kwh"]
-        )
-        for i in range(m):
-            writer.writerow(
-                [horizon.timestamp(i).isoformat(), _format(baseload_kw[i])]
-                + [_format(profile[i]) for profile in scenario_kw.values()]
-                + [_format(emissions.kg_per_kwh[i])]
-            )
+    header = ("timestamp", "baseload_kw", *(f"{label}_kw" for label in scenario_kw), "co2_kg_per_kwh")
+    columns = (_timestamps(horizon), baseload_kw, *scenario_kw.values(), emissions.kg_per_kwh)
+    _write_csv(path, header, zip(*columns))
 
 
 def write_report(path: str | Path, reports: Sequence[ScenarioReport]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(REPORT_COLUMNS)
-        for report in reports:
-            writer.writerow(
-                [
-                    report.scenario,
-                    _format(report.flatness_kwh2),
-                    _format(report.co2_kg),
-                    _format(report.peak_kw),
-                ]
-                + [
-                    "" if value is None else _format(value)
-                    for value in (
-                        report.flatness_reduction_pct,
-                        report.co2_reduction_pct,
-                        report.peak_reduction_pct,
-                    )
-                ]
-            )
+    # The report's fields are in REPORT_COLUMNS order.
+    _write_csv(path, REPORT_COLUMNS, map(astuple, reports))
 
 
 def read_report(path: str | Path) -> tuple[ScenarioReport, ...]:
-    rows = _read_rows(path, REPORT_COLUMNS)
     reports = []
-    for line_no, row in rows:
-        pcts = {}
-        for column in REPORT_COLUMNS[4:]:
-            text = row[column]
-            pcts[column] = None if text == "" else _parse_float(text, line_no, column)
-        reports.append(
-            ScenarioReport(
-                scenario=row["scenario"],
-                flatness_kwh2=_parse_float(row["flatness_kwh2"], line_no, "flatness_kwh2"),
-                co2_kg=_parse_float(row["co2_kg"], line_no, "co2_kg"),
-                peak_kw=_parse_float(row["peak_kw"], line_no, "peak_kw"),
-                **pcts,
-            )
-        )
+    for line_no, row in _read_rows(path, REPORT_COLUMNS):
+        values = {
+            # Only the reduction percentages may be empty.
+            column: None
+            if column in REPORT_COLUMNS[4:] and row[column] == ""
+            else _parse_float(row[column], line_no, column)
+            for column in REPORT_COLUMNS[1:]
+        }
+        reports.append(ScenarioReport(scenario=row["scenario"], **values))
     return tuple(reports)
 
 
@@ -391,8 +374,11 @@ def write_sweep(
     path: str | Path, rows: Sequence[tuple[float, float, float, float]]
 ) -> None:
     """Trade-off curve rows: (flatness weight, peak kW, co2 kg, flatness kWh^2)."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SWEEP_COLUMNS)
-        for weight, peak, co2, flat in rows:
-            writer.writerow([_format(weight), _format(peak), _format(co2), _format(flat)])
+    _write_csv(path, SWEEP_COLUMNS, rows)
+
+
+def write_flexibility_report(path: str | Path, values: Sequence[float]) -> None:
+    """One row of the flexibility experiment's peaks, in FLEXIBILITY_COLUMNS order."""
+    if len(values) != len(FLEXIBILITY_COLUMNS):
+        raise ValueError(f"a flexibility report has {len(FLEXIBILITY_COLUMNS)} values")
+    _write_csv(path, FLEXIBILITY_COLUMNS, [values])

@@ -101,11 +101,11 @@ def _scaled(values, factor: int, what: str, labels) -> np.ndarray:
     return scaled
 
 
-def _snap(values: np.ndarray, rounding) -> np.ndarray:
-    """Nearest integers for values within float noise of one, else ``rounding``."""
+def _snap(values: np.ndarray) -> np.ndarray:
+    """Integers at or below ``values``, taking a value within a few ulps of one as on it."""
     nearest = np.rint(values)
-    on_grid = np.abs(values - nearest) <= 1e-6 * np.maximum(1.0, np.abs(values))
-    return np.where(on_grid, nearest, rounding(values)).astype(np.int64)
+    on_grid = np.abs(values - nearest) <= 4 * np.spacing(np.abs(values))
+    return np.where(on_grid, nearest, np.floor(values)).astype(np.int64)
 
 
 class JobIntervalNetwork:
@@ -304,9 +304,9 @@ def grid(
     top = max(float(pile.max()), float(energies.max(initial=0.0)), 1.0)
     scale = _grid_scale(top, bed + float(pile.sum()))
     caps = pile if instance.caps_kwh is None else np.minimum(instance.caps_kwh, pile)
-    rate = _snap(rates * scale, np.floor)
+    rate = _snap(rates * scale)
     supply = np.minimum(np.rint(energies * scale).astype(np.int64), rate * network.widths)
-    return network, scale, supply, rate, _snap(caps * scale, np.floor)
+    return network, scale, supply, rate, _snap(caps * scale)
 
 
 def build_network(

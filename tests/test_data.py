@@ -1,11 +1,13 @@
 """Tests for CSV ingestion and serialization."""
 
+from dataclasses import fields
 from datetime import timedelta
 
 import numpy as np
 import pytest
 
 from depotcharge.data import (
+    REPORT_COLUMNS,
     LineTimetable,
     load_baseload,
     load_emissions,
@@ -13,6 +15,7 @@ from depotcharge.data import (
     read_report,
     write_baseload,
     write_emissions,
+    write_flexibility_report,
     write_profiles,
     write_report,
     write_sweep,
@@ -328,6 +331,27 @@ class TestTimetable:
             load_timetable(path)
         assert (excinfo.value.row, excinfo.value.column) == (3, column)
 
+    @pytest.mark.parametrize("day", ["+1", "-0", "0_3"])
+    def test_signed_day_names_its_cell(self, tmp_path, day):
+        path = tmp_path / "timetable.csv"
+        path.write_text(
+            "day,line_id,start,end,bus_type,soc_after_kwh\n"
+            "0,l1,07:00,18:00,SMALL,40.0\n"
+            f"{day},l2,07:00,18:00,SMALL,40.0\n"
+        )
+        with pytest.raises(ParseError, match="bad day") as excinfo:
+            load_timetable(path)
+        assert (excinfo.value.row, excinfo.value.column) == (3, "day")
+
+    def test_day_may_carry_spaces(self, tmp_path):
+        path = tmp_path / "timetable.csv"
+        path.write_text(
+            "day,line_id,start,end,bus_type,soc_after_kwh\n"
+            " 2 ,l1,07:00,18:00,SMALL,40.0\n"
+        )
+        (line,) = load_timetable(path).lines
+        assert line.day == 2
+
     def test_clock_time_parts_may_carry_spaces(self, tmp_path):
         path = tmp_path / "timetable.csv"
         path.write_text(
@@ -390,3 +414,125 @@ class TestWriters:
         write_emissions(path, series, horizon)
         loaded = load_emissions(path, horizon)
         np.testing.assert_array_equal(loaded.kg_per_kwh, series.kg_per_kwh)
+
+
+class TestWrittenBytes:
+    """Every writer's exact bytes: header order, ``repr`` floats, empty
+    cells for missing values and ``\\r\\n`` line ends."""
+
+    def test_timetable(self, tmp_path):
+        anchor = WEEK_START + timedelta(days=1)
+        line = LineRecord(
+            line_id="l1",
+            day=1,
+            start=anchor + timedelta(hours=7.0),
+            end=anchor + timedelta(hours=25.5),
+            bus_type=BusType.LARGE,
+            soc_after_kwh=0.1,
+        )
+        path = tmp_path / "timetable.csv"
+        write_timetable(path, LineTimetable(lines=(line,), week_start=WEEK_START))
+        assert path.read_bytes() == (
+            b"day,line_id,start,end,bus_type,soc_after_kwh\r\n"
+            b"1,l1,07:00,25:30,LARGE,0.1\r\n"
+        )
+
+    def test_emissions_and_baseload(self, tmp_path):
+        horizon = make_horizon(4)
+        values = np.array([0.1, 1e-05, 2.0, 0.30000000000000004])
+        rows = (
+            b"2023-06-05T00:00:00,0.1\r\n"
+            b"2023-06-05T00:15:00,1e-05\r\n"
+            b"2023-06-05T00:30:00,2.0\r\n"
+            b"2023-06-05T00:45:00,0.30000000000000004\r\n"
+        )
+        write_emissions(tmp_path / "e.csv", EmissionSeries(values), horizon)
+        write_baseload(tmp_path / "b.csv", BaseloadSeries(values), horizon)
+        assert (tmp_path / "e.csv").read_bytes() == b"timestamp,co2_kg_per_kwh\r\n" + rows
+        assert (tmp_path / "b.csv").read_bytes() == b"timestamp,baseload_kwh\r\n" + rows
+
+    def test_profiles(self, tmp_path):
+        horizon = make_horizon(4)
+        path = tmp_path / "profiles.csv"
+        write_profiles(
+            path,
+            horizon,
+            np.array([1.0, 0.1, 0.0, 3.5]),
+            {"co2": np.array([0.0, 1e-05, 2.0, 0.0]), "flatten": np.array([1.0, 1.0, 1.0, 1.0])},
+            EmissionSeries(np.array([0.2, 0.2, 0.3, 0.1])),
+        )
+        assert path.read_bytes() == (
+            b"timestamp,baseload_kw,co2_kw,flatten_kw,co2_kg_per_kwh\r\n"
+            b"2023-06-05T00:00:00,1.0,0.0,1.0,0.2\r\n"
+            b"2023-06-05T00:15:00,0.1,1e-05,1.0,0.2\r\n"
+            b"2023-06-05T00:30:00,0.0,2.0,1.0,0.3\r\n"
+            b"2023-06-05T00:45:00,3.5,0.0,1.0,0.1\r\n"
+        )
+
+    def test_report(self, tmp_path):
+        path = tmp_path / "report.csv"
+        write_report(
+            path,
+            (
+                ScenarioReport("uncontrolled", 4.0, 2.0, 0.1),
+                ScenarioReport("flatten", 2.0, 1e-05, 0.05, 50.0, 99.9995, 50.0),
+            ),
+        )
+        assert path.read_bytes() == (
+            b"scenario,flatness_kwh2,co2_kg,peak_kw,"
+            b"flatness_reduction_pct,co2_reduction_pct,peak_reduction_pct\r\n"
+            b"uncontrolled,4.0,2.0,0.1,,,\r\n"
+            b"flatten,2.0,1e-05,0.05,50.0,99.9995,50.0\r\n"
+        )
+
+    def test_report_fields_follow_the_columns(self):
+        assert tuple(field.name for field in fields(ScenarioReport)) == REPORT_COLUMNS
+
+    def test_sweep(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        write_sweep(path, [(0.0, 3.0, 2.0, 1e-05), (float("inf"), 0.1, 4.0, 0.5)])
+        assert path.read_bytes() == (
+            b"flatness_weight,peak_kw,co2_kg,flatness_kwh2\r\n"
+            b"0.0,3.0,2.0,1e-05\r\n"
+            b"inf,0.1,4.0,0.5\r\n"
+        )
+
+    def test_flexibility_report(self, tmp_path):
+        path = tmp_path / "flexibility_report.csv"
+        write_flexibility_report(path, (400.0, 0.1, 450.0, 50.0, 1e-05))
+        assert path.read_bytes() == (
+            b"baseload_peak_kw,bus_only_flat_peak_kw,coordinated_peak_kw,"
+            b"additional_kw,gain_pct\r\n"
+            b"400.0,0.1,450.0,50.0,1e-05\r\n"
+        )
+
+    def test_flexibility_report_needs_five_values(self, tmp_path):
+        with pytest.raises(ValueError, match="5 values"):
+            write_flexibility_report(tmp_path / "f.csv", (400.0, 0.1, 450.0, 50.0))
+
+
+class TestLengthGuards:
+    def test_series_longer_than_the_horizon(self, tmp_path):
+        with pytest.raises(ValueError, match="series length"):
+            write_baseload(tmp_path / "b.csv", BaseloadSeries(np.ones(5)), make_horizon(4))
+
+    def test_profile_of_the_wrong_length(self, tmp_path):
+        with pytest.raises(ValueError, match="'co2' profile length"):
+            write_profiles(
+                tmp_path / "p.csv",
+                make_horizon(4),
+                np.ones(4),
+                {"co2": np.ones(3)},
+                EmissionSeries(np.ones(4)),
+            )
+
+    @pytest.mark.parametrize("baseload, factors", [(3, 4), (4, 5)])
+    def test_baseload_or_factors_of_the_wrong_length(self, tmp_path, baseload, factors):
+        with pytest.raises(ValueError, match="baseload or emission length"):
+            write_profiles(
+                tmp_path / "p.csv",
+                make_horizon(4),
+                np.ones(baseload),
+                {"co2": np.ones(4)},
+                EmissionSeries(np.ones(factors)),
+            )

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -536,6 +537,46 @@ class TestVerifyOptimality:
         flows = np.array([9, 9, 0, 9, 0], dtype=np.int64) * scale
         with pytest.raises(ValueError):
             flow.verify_optimality(network, capacities, costs, flows)
+
+
+class TestGridSnap:
+    def test_rates_just_below_a_unit_floor(self):
+        # On the 1e9 grid each 2/3 kWh rate is 666,666,666.67 units.
+        # Rounded up, three of them overfill the 2e9-unit pile-up.
+        jobs = tuple(Job(f"j{k}", 0, 1, 2 / 3, 2 / 3) for k in range(3))
+        instance = Instance(make_horizon(1), jobs, caps_kwh=np.array([1000.0]))
+        emissions = flow.EmissionSeries(np.array([1.0]))
+        assert check_feasible(instance).feasible
+        schedule = flow.solve_min_co2(instance, emissions)
+        validate_schedule(instance, schedule)
+        expected = lp_min_co2(instance, emissions.kg_per_kwh).objective
+        assert co2_total(schedule, emissions) == pytest.approx(expected, rel=1e-9)
+
+    def test_off_grid_rates_and_caps_never_round_up(self):
+        rng = np.random.default_rng(73)
+
+        def off_grid(size=None):
+            return rng.integers(1, 40, size) / rng.choice([3, 7, 9, 11], size)
+
+        for _ in range(200):
+            m = int(rng.integers(2, 13))
+            jobs = []
+            for k in range(int(rng.integers(1, 6))):
+                arrival = int(rng.integers(0, m))
+                departure = int(rng.integers(arrival + 1, m + 1))
+                rate = float(off_grid())
+                energy = rate * (departure - arrival) * float(rng.uniform(0.1, 0.95))
+                jobs.append(Job(f"j{k}", arrival, departure, energy, rate))
+            caps = off_grid(m)
+            _, scale, _, rate_units, sink_units = flow.grid(Instance(make_horizon(m), tuple(jobs), caps))
+            pile = np.zeros(m)
+            for job in jobs:
+                pile[job.arrival : job.departure] += job.max_rate_kwh
+            values = [job.max_rate_kwh for job in jobs] + list(np.minimum(caps, pile))
+            for value, units in zip(values, [*rate_units, *sink_units]):
+                exact = Fraction(float(value)) * scale
+                noise = 4 * np.spacing(value * scale)
+                assert units <= exact or units - exact <= noise, (value, scale, int(units))
 
 
 class TestFeasibilityCut:

@@ -128,6 +128,44 @@ def test_no_assert_statement_in_the_package():
     assert not found, f"assert statements at {found}"
 
 
+def writes_a_file(node: ast.AST) -> bool:
+    """A ``csv.writer`` call, or an ``open`` call whose mode is not read-only."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute) and func.attr in ("writer", "write_text", "write_bytes"):
+        return True
+    if isinstance(func, ast.Name) and func.id == "open":
+        modes = node.args[1:2]
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        modes = node.args[:1]
+    else:
+        return False
+    modes = modes + [kw.value for kw in node.keywords if kw.arg == "mode"]
+    return any(
+        not (isinstance(mode, ast.Constant) and isinstance(mode.value, str) and set(mode.value) <= set("rbt"))
+        for mode in modes
+    )
+
+
+def test_only_the_csv_writer_writes_files():
+    # Every file the package writes gets its cells and line ends from data._write_csv.
+    inside = []
+    found = []
+    for path in sorted((SRC / "depotcharge").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "data.py":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "_write_csv":
+                    allowed = {id(inner) for inner in ast.walk(node)}
+        for node in ast.walk(tree):
+            if writes_a_file(node):
+                (inside if id(node) in allowed else found).append(f"{path.name}:{node.lineno}")
+    assert len(inside) == 2, f"data._write_csv should open a file and make a csv.writer: {inside}"
+    assert not found, f"files written outside data._write_csv at {found}"
+
+
 IGNORED_CAPS = case("fill that ignores the caps", """
     # Caps far above every rate make each block's fill the plain water
     # fill, whose shares here overfill the interval only job b reaches.
