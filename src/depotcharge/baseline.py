@@ -10,22 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Instance, Schedule, window_intervals
+from .model import Instance, Schedule, fill_windows
 
 
 def solve_uncontrolled(instance: Instance) -> Schedule:
-    """Greedy arrival-time charging, no coordination.
+    """Greedy arrival-time charging, no coordination: the window fill in
+    time order.
 
     Note that aggregate caps are deliberately ignored: an uncontrolled
     depot has no mechanism to enforce them.  The result is feasible for
     the cap-free relaxation of the instance.
     """
-    jobs = instance.jobs
-    rates = np.array([job.max_rate_kwh for job in jobs])
-    energies = np.array([job.energy_kwh for job in jobs])
-    widths = np.array([job.departure - job.arrival for job in jobs], dtype=np.int64)
-    full = np.minimum(energies // rates, widths)
-    offset = window_intervals(np.zeros_like(widths), widths)  # index within the window
-    at = np.repeat(full, widths)
-    rest = np.where(offset == at, np.repeat(energies - full * rates, widths), 0.0)
-    return Schedule.of(instance, np.where(offset < at, np.repeat(rates, widths), rest))
+    return fill_windows(instance, np.arange(instance.interval_count))

@@ -1,8 +1,8 @@
 """CSV ingestion and serialization for series, timetables, and results.
 
-All files are headered CSV with ISO-8601 naive-local timestamps.  The
-horizon's one week contains no DST transition, so naive arithmetic is
-safe.  Schemas:
+All files are headered CSV with ISO-8601 naive-local timestamps; a
+timestamp with a UTC offset is refused.  The horizon's one week contains
+no DST transition, so naive arithmetic is safe.  Schemas:
 
  - emissions: ``timestamp,co2_kg_per_kwh`` at a uniform hourly or
    15-minute step; hourly values are replicated into the four quarter
@@ -116,9 +116,13 @@ def _read_rows(path: str | Path, required: Sequence[str]) -> list[tuple[int, dic
 
 def _parse_timestamp(text: str, row: int) -> datetime:
     try:
-        return datetime.fromisoformat(text)
+        when = datetime.fromisoformat(text)
     except ValueError:
         raise ParseError(f"bad timestamp {text!r}", row=row, column="timestamp") from None
+    if when.tzinfo is not None:
+        message = f"timestamp {text!r} has a UTC offset; the format is naive local time"
+        raise ParseError(message, row=row, column="timestamp")
+    return when
 
 
 def _parse_float(text: str, row: int, column: str) -> float:

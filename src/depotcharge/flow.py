@@ -22,8 +22,11 @@ networks of disjoint blocks (:func:`block_level`).  As flattening does,
 it reads its flow off the levels' cuts (:func:`read_cut`): a feasibility
 max flow and one per level, at most 2 + ceil(log2 m).  The optimality
 certificate (:func:`verify_optimality`) checks every such flow with one
-Dijkstra search from the sink, since costs sit on the sink arcs only;
-without caps the problem separates per job and is filled greedily.
+Dijkstra search from the sink, since costs sit on the sink arcs only.
+Without caps the problem separates per job: one array pass
+(:func:`~depotcharge.model.fill_windows`) fills each bus's cleanest
+window intervals at full rate, the same pass that in time order is the
+uncontrolled baseline, and a per-job check certifies it.
 
 Every max-flow solve, flattening's included, runs on one integer grid
 chosen by :func:`grid`: the largest power of ten of units per kWh that
@@ -46,7 +49,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, dijkstra, maximum_flow
 
 from .errors import InfeasibleError, ScalingOverflowError, SolverError
-from .model import Instance, Schedule, row_sums, window_intervals
+from .model import (
+    Instance, Schedule, fill_windows, job_windows, per_interval, row_sums, window_intervals,
+)
 
 #: Largest scaled magnitude representable exactly on the float path.
 _INT_LIMIT = 2**53
@@ -66,13 +71,7 @@ class EmissionSeries:
     kg_per_kwh: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.kg_per_kwh, dtype=float).copy()
-        if values.ndim != 1:
-            raise ValueError("emission factors must be one-dimensional")
-        if not np.all(np.isfinite(values)) or np.any(values < 0):
-            raise ValueError("emission factors must be finite and non-negative")
-        values.setflags(write=False)
-        object.__setattr__(self, "kg_per_kwh", values)
+        object.__setattr__(self, "kg_per_kwh", per_interval(self.kg_per_kwh, "emission factors"))
 
     def __len__(self) -> int:
         return len(self.kg_per_kwh)
@@ -508,27 +507,6 @@ def verify_optimality(
     return OptimalityCertificate(optimal=False, witness_cycle=tuple(cycle))
 
 
-def _greedy_cheapest_fill(instance: Instance, emissions: EmissionSeries) -> Schedule:
-    # Without aggregate caps the interval nodes never bind jobs against
-    # each other, so the flow problem separates: each job fills its
-    # cheapest window intervals at full rate.  Ties resolve to the
-    # earlier interval for determinism.
-    co2 = emissions.kg_per_kwh
-    allocations: dict[str, np.ndarray] = {}
-    for job in instance.jobs:
-        width = job.departure - job.arrival
-        values = np.zeros(width)
-        remaining = job.energy_kwh
-        for offset in np.argsort(co2[job.arrival : job.departure], kind="stable"):
-            if remaining <= 0:
-                break
-            amount = min(job.max_rate_kwh, remaining)
-            values[offset] = amount
-            remaining -= amount
-        allocations[job.id] = values
-    return Schedule.build(instance, allocations)
-
-
 def read_schedule(
     instance: Instance, network: JobIntervalNetwork, flows: np.ndarray, scale: int, key, load
 ) -> Schedule:
@@ -540,9 +518,9 @@ def read_schedule(
     to the window intervals with the lowest ``key`` that have rate (and
     cap) headroom, a negative one comes out of the highest.  ``load`` is
     the per-interval load under the charging; the windows and every step
-    are added to it in place, and caps bound it.  The minimum-CO2 solver orders by emission factor
-    over a zero load; flattening passes its totals as both key and load,
-    so its order follows the steps.
+    are added to it in place, and caps bound it.  The minimum-CO2 solver
+    orders by emission factor over a zero load; flattening passes its
+    totals as both key and load, so its order follows the steps.
     """
     jobs, caps, kwh = instance.jobs, instance.caps_kwh, flows[network.job_arcs()] / scale
     np.add.at(load, network.arc_interval, kwh)
@@ -583,20 +561,45 @@ def read_schedule(
     return Schedule.of(instance, kwh)
 
 
+def _certify_fill(schedule: Schedule, kg_per_kwh: np.ndarray) -> None:
+    """Refuse an uncapped schedule in which a job charges at a dearer
+    factor than one where it has rate headroom: moving energy there would
+    cut its CO2.  The fill passes exactly: its ``energy - rate * r``,
+    rounded once, falls with r, and is at most 0 a rank after it drops
+    below the rate."""
+    jobs, energy = schedule.instance.jobs, schedule.energy
+    starts, widths = job_windows(jobs)
+    factors, firsts = kg_per_kwh[window_intervals(starts, widths)], np.cumsum(widths) - widths
+    rates = np.repeat([job.max_rate_kwh for job in jobs], widths)
+    dearest = np.maximum.reduceat(np.where(energy > 0, factors, -np.inf), firsts)
+    cheapest = np.minimum.reduceat(np.where(energy < rates, factors, np.inf), firsts)
+    beaten = np.flatnonzero(dearest > cheapest)
+    if len(beaten):
+        k = beaten[0]
+        raise SolverError(
+            f"uncapped fill is not optimal: job {jobs[k].id!r} charges at {dearest[k]} kg/kWh "
+            f"with headroom at {cheapest[k]} kg/kWh"
+        )
+
+
 def solve_min_co2(instance: Instance, emissions: EmissionSeries) -> Schedule:
     """Schedule with the smallest total CO2 emission.
 
     Minimises ``sum_i s(i) * co2(i)`` subject to the window, rate, and
-    cap constraints.  Instances without caps separate per job and are
-    filled greedily; capped instances run the network solver, whose flow
-    must pass the optimality certificate.  Raises InfeasibleError when
-    the caps cannot accommodate the demand, and SolverError when the
-    certificate fails.
+    cap constraints.  Without caps the problem separates per job: one
+    array pass (:func:`~depotcharge.model.fill_windows`) fills each
+    job's cleanest window intervals at full rate, and no job may charge
+    at a dearer factor than one where it has headroom.  Capped instances
+    run the network solver, whose flow must pass the optimality
+    certificate.  Raises InfeasibleError when the caps cannot
+    accommodate the demand, and SolverError when a certificate fails.
     """
     if len(emissions) != instance.interval_count:
         raise ValueError("emission series does not cover the horizon")
     if instance.caps_kwh is None:
-        return _greedy_cheapest_fill(instance, emissions)
+        schedule = fill_windows(instance, emissions.kg_per_kwh)
+        _certify_fill(schedule, emissions.kg_per_kwh)
+        return schedule
 
     network, scale, capacities, costs = build_network(instance, emissions)
     flows = _polymatroid_greedy(network, capacities, costs, [job.id for job in instance.jobs])

@@ -15,7 +15,7 @@ would need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,11 +96,8 @@ class ScenarioReport:
 
     def versus(self, baseline: "ScenarioReport") -> "ScenarioReport":
         """A copy with reduction percentages filled in against ``baseline``."""
-        return ScenarioReport(
-            scenario=self.scenario,
-            flatness_kwh2=self.flatness_kwh2,
-            co2_kg=self.co2_kg,
-            peak_kw=self.peak_kw,
+        return replace(
+            self,
             flatness_reduction_pct=reduction_pct(baseline.flatness_kwh2, self.flatness_kwh2),
             co2_reduction_pct=reduction_pct(baseline.co2_kg, self.co2_kg),
             peak_reduction_pct=reduction_pct(baseline.peak_kw, self.peak_kw),

@@ -60,24 +60,18 @@ class Horizon:
         """Wall-clock time of interval boundary ``index``."""
         return self.start + timedelta(hours=index * self.interval_hours)
 
-    def _offset(self, when: datetime) -> float:
-        return (when - self.start).total_seconds() / 3600.0 / self.interval_hours
-
     def index_floor(self, when: datetime) -> int:
         """Largest interval boundary at or before ``when``."""
-        off = self._offset(when)
-        nearest = round(off)
-        if abs(off - nearest) <= _GRID_SNAP:
-            return int(nearest)
-        return int(np.floor(off))
+        return self._index(when, np.floor)
 
     def index_ceil(self, when: datetime) -> int:
         """Smallest interval boundary at or after ``when``."""
-        off = self._offset(when)
+        return self._index(when, np.ceil)
+
+    def _index(self, when: datetime, rounding) -> int:
+        off = (when - self.start).total_seconds() / 3600.0 / self.interval_hours
         nearest = round(off)
-        if abs(off - nearest) <= _GRID_SNAP:
-            return int(nearest)
-        return int(np.ceil(off))
+        return int(nearest if abs(off - nearest) <= _GRID_SNAP else rounding(off))
 
     def clip(self, index: int) -> int:
         return min(max(index, 0), self.interval_count)
@@ -126,6 +120,18 @@ class Job:
         return range(self.arrival, self.departure)
 
 
+def per_interval(values, noun: str) -> np.ndarray:
+    """A read-only float copy of one value per interval; a ``ValueError``
+    naming ``noun`` unless one-dimensional, finite and non-negative."""
+    values = np.array(values, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"{noun} must be one-dimensional")
+    if not np.all(np.isfinite(values)) or np.any(values < 0):
+        raise ValueError(f"{noun} must be finite and non-negative")
+    values.setflags(write=False)
+    return values
+
+
 @dataclass(frozen=True)
 class Instance:
     """A scheduling instance: horizon, jobs, and optional aggregate caps.
@@ -155,13 +161,10 @@ class Instance:
                     f"job {job.id!r}: departure {job.departure} exceeds horizon ({m} intervals)"
                 )
         if self.caps_kwh is not None:
-            caps = np.asarray(self.caps_kwh, dtype=float).copy()
+            caps = np.asarray(self.caps_kwh, dtype=float)
             if caps.shape != (m,):
                 raise ValueError(f"caps must have shape ({m},), got {caps.shape}")
-            if not np.all(np.isfinite(caps)) or np.any(caps < 0):
-                raise ValueError("caps must be finite and non-negative")
-            caps.setflags(write=False)
-            object.__setattr__(self, "caps_kwh", caps)
+            object.__setattr__(self, "caps_kwh", per_interval(caps, "caps"))
 
     @property
     def interval_count(self) -> int:
@@ -180,13 +183,7 @@ class BaseloadSeries:
     kwh: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.kwh, dtype=float).copy()
-        if values.ndim != 1:
-            raise ValueError("baseload must be one-dimensional")
-        if not np.all(np.isfinite(values)) or np.any(values < 0):
-            raise ValueError("baseload must be finite and non-negative")
-        values.setflags(write=False)
-        object.__setattr__(self, "kwh", values)
+        object.__setattr__(self, "kwh", per_interval(self.kwh, "baseload"))
 
     @classmethod
     def from_kw(cls, kw: np.ndarray, interval_hours: float) -> "BaseloadSeries":
@@ -215,7 +212,7 @@ def row_sums(values: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
     return np.add.reduceat(padded, np.cumsum(lengths) - lengths + np.arange(count))
 
 
-def _windows(jobs) -> tuple[np.ndarray, np.ndarray]:
+def job_windows(jobs) -> tuple[np.ndarray, np.ndarray]:
     """Each job's first window interval and window width."""
     starts = np.array([job.arrival for job in jobs], dtype=np.int64)
     return starts, np.array([job.departure for job in jobs], dtype=np.int64) - starts
@@ -224,7 +221,7 @@ def _windows(jobs) -> tuple[np.ndarray, np.ndarray]:
 def _profile(instance: Instance, energy: np.ndarray) -> np.ndarray:
     # Shared by Schedule.of and aggregate(), so the stored aggregate is
     # bitwise recomputable; bincount gives int64 when there are no entries.
-    intervals = window_intervals(*_windows(instance.jobs))
+    intervals = window_intervals(*job_windows(instance.jobs))
     return np.bincount(intervals, energy, instance.interval_count).astype(float, copy=False)
 
 
@@ -257,7 +254,7 @@ class Schedule:
     def of(cls, instance: Instance, energy) -> "Schedule":
         """The schedule of a copy of ``energy``: every job's window, end to
         end in instance order.  A wrong length raises ``ValueError``."""
-        widths = _windows(instance.jobs)[1]
+        widths = job_windows(instance.jobs)[1]
         energy = np.array(energy, dtype=float)
         if energy.shape != (int(widths.sum()),):
             raise ValueError(f"energy has shape {energy.shape}, the windows need ({widths.sum()},)")
@@ -291,6 +288,24 @@ class Schedule:
         return cls.of(instance, np.concatenate(parts) if parts else [])
 
 
+def fill_windows(instance: Instance, key) -> Schedule:
+    """Each job at full rate through its window intervals in order of
+    ``key[interval]``, the earlier first on ties, until its energy is in:
+    the entry of rank r in its job's order gets ``energy - rate * r``
+    clipped to ``[0, rate]``.  Caps are ignored."""
+    jobs = instance.jobs
+    starts, widths = job_windows(jobs)
+    firsts = np.repeat(np.cumsum(widths) - widths, widths)
+    # Each interval's unique place in key order makes one integer sort key per entry.
+    place = np.argsort(np.argsort(key, kind="stable"))
+    order = np.argsort(firsts * len(place) + place[window_intervals(starts, widths)], kind="stable")
+    rates = np.repeat([job.max_rate_kwh for job in jobs], widths)
+    energies = np.repeat([job.energy_kwh for job in jobs], widths)
+    energy = np.empty(len(order))
+    energy[order] = np.clip(energies - rates * (np.arange(len(order)) - firsts), 0.0, rates)
+    return Schedule.of(instance, energy)
+
+
 def aggregate(schedule: Schedule) -> np.ndarray:
     """Recompute the summed charging profile from the allocations."""
     return _profile(schedule.instance, schedule.energy)
@@ -310,7 +325,7 @@ def validate_schedule(
     family, naming its first job.
     """
     jobs, values = instance.jobs, schedule.energy
-    widths = _windows(jobs)[1]
+    widths = job_windows(jobs)[1]
     same = schedule.instance.jobs == jobs and schedule.instance.horizon == instance.horizon
     if not same or values.shape != (int(widths.sum()),):
         raise ValueError("schedule is not laid out for the instance's jobs and horizon")

@@ -13,7 +13,7 @@ Generators are pure functions of (seed, parameters).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -198,15 +198,9 @@ def synth_timetable(
     weekday_draw: list[LineRecord] = []
     for day, count in enumerate(profile.lines_per_day):
         if profile.weekdays_identical and 0 < day <= 3:
+            shift = timedelta(days=day)
             lines.extend(
-                LineRecord(
-                    line_id=line.line_id,
-                    day=day,
-                    start=line.start + timedelta(days=day),
-                    end=line.end + timedelta(days=day),
-                    bus_type=line.bus_type,
-                    soc_after_kwh=line.soc_after_kwh,
-                )
+                replace(line, day=day, start=line.start + shift, end=line.end + shift)
                 for line in weekday_draw
             )
             continue

@@ -61,6 +61,25 @@ def random_baseload(rng: np.random.Generator, interval_count: int, high: float =
     return rng.uniform(0.0, high, interval_count)
 
 
+def reference_fill(instance: Instance, key) -> Schedule:
+    """Each job at full rate through its window intervals in order of
+    ``key``, ties to the earlier interval, one job and one interval at a
+    time: the per-job loop the uncapped minimum-CO2 solver once ran."""
+    key = np.asarray(key)
+    allocations: dict[str, np.ndarray] = {}
+    for job in instance.jobs:
+        values = np.zeros(job.departure - job.arrival)
+        remaining = job.energy_kwh
+        for offset in np.argsort(key[job.arrival : job.departure], kind="stable"):
+            if remaining <= 0:
+                break
+            amount = min(job.max_rate_kwh, remaining)
+            values[offset] = amount
+            remaining -= amount
+        allocations[job.id] = values
+    return Schedule.build(instance, allocations)
+
+
 def assert_valid(instance: Instance, schedule: Schedule) -> None:
     validate_schedule(instance, schedule)
 

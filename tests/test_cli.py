@@ -325,6 +325,17 @@ class TestErrorReporting:
         assert err.startswith("error:") and "(row 2)" in err
         assert "Traceback" not in err
 
+    def test_emission_timestamps_with_an_offset(self, tmp_path, capsys):
+        # Naive horizon times cannot be compared with offset-aware ones.
+        emissions = tmp_path / "emissions.csv"
+        rows = [f"2023-06-{day:02d}T00:00:00+02:00,0.3\n" for day in range(4, 14)]
+        emissions.write_text("timestamp,co2_kg_per_kwh\n" + "".join(rows))
+        rc = main(["week", "--no-sweep", "--out-dir", str(tmp_path / "o"), "--emissions", str(emissions)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "(row 2, column 'timestamp')" in err
+        assert "Traceback" not in err
+
 
 def test_package_runs_as_a_module_without_warnings():
     # ``python -m depotcharge.cli`` warns that the package has already

@@ -127,6 +127,12 @@ class TestLoadEmissions:
             load_emissions(path, make_horizon(4))
         assert excinfo.value.row == 4
 
+    def test_timestamp_with_an_offset_reports_the_row(self, tmp_path):
+        path = emissions_csv(tmp_path, [f"{stamp(0)},0.4\n", f"{stamp(1)}+02:00,0.2\n"])
+        with pytest.raises(ParseError, match="UTC offset") as excinfo:
+            load_emissions(path, make_horizon(8))
+        assert (excinfo.value.row, excinfo.value.column) == (3, "timestamp")
+
     def test_negative_factor_rejected(self, tmp_path):
         path = emissions_csv(tmp_path, [f"{stamp(0)},0.4\n", f"{stamp(1)},-0.2\n"])
         with pytest.raises(ParseError):
@@ -165,6 +171,13 @@ class TestLoadBaseload:
         )
         with pytest.raises(SchemaError):
             load_baseload(path, make_horizon(8))
+
+    def test_timestamp_with_an_offset_reports_the_row(self, tmp_path):
+        path = tmp_path / "base.csv"
+        path.write_text("timestamp,baseload_kwh\n" + f"{stamp(0)}Z,5\n" + f"{stamp(0.25)}Z,6\n")
+        with pytest.raises(ParseError, match="UTC offset") as excinfo:
+            load_baseload(path, make_horizon(2))
+        assert (excinfo.value.row, excinfo.value.column) == (2, "timestamp")
 
     def test_row_with_a_surplus_cell_is_a_schema_error(self, tmp_path):
         path = tmp_path / "base.csv"

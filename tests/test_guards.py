@@ -166,6 +166,20 @@ def test_only_the_csv_writer_writes_files():
     assert not found, f"files written outside data._write_csv at {found}"
 
 
+def test_solvers_build_schedules_in_the_job_arc_layout():
+    # Schedule.build assembles per-job arrays; solvers lay their energy
+    # out in the network's job-arc order and call Schedule.of.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "depotcharge").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "build" and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "Schedule"
+    ]
+    assert not found, f"Schedule.build called at {found}"
+
+
 IGNORED_CAPS = case("fill that ignores the caps", """
     # Caps far above every rate make each block's fill the plain water
     # fill, whose shares here overfill the interval only job b reaches.
@@ -467,3 +481,26 @@ DEARER = case("dearer flow fails the certificate", """
 
 def test_dearer_flow_fails_the_certificate(optimized):
     assert_refused(optimized[DEARER], "not optimal")
+
+
+DEARER_FILL = case("uncapped fill into a dearer interval", """
+    # Job a's 4 kWh belong in intervals 1 and 2, the cleanest of its
+    # window; one kWh moves from interval 1 to interval 0, the dearest.
+    # Delivery and rates still hold.
+    from depotcharge.model import Schedule
+    exact = flow.fill_windows
+
+    def one_kwh_dearer(instance, key):
+        energy = exact(instance, key).energy.copy()
+        energy[[0, 1]] += [1.0, -1.0]
+        return Schedule.of(instance, energy)
+
+    patch(flow, "fill_windows", one_kwh_dearer)
+
+    def run():
+        flow.solve_min_co2(instance, EmissionSeries(np.array([0.3, 0.1, 0.2, 0.4])))
+""")
+
+
+def test_dearer_uncapped_fill_fails_the_certificate(optimized):
+    assert_refused(optimized[DEARER_FILL], "not optimal")

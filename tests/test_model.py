@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from depotcharge.model import (
+    ENERGY_ATOL,
     BaseloadSeries,
     Horizon,
     Instance,
@@ -14,6 +15,7 @@ from depotcharge.model import (
     Schedule,
     aggregate,
     check_feasible,
+    fill_windows,
     row_sums,
     validate_schedule,
 )
@@ -21,7 +23,9 @@ from depotcharge.baseline import solve_uncontrolled
 from depotcharge.flatten import FlattenProblem, solve_flatten
 from depotcharge.flow import EmissionSeries, solve_min_co2
 
-from helpers import WEEK_START, make_horizon, random_emissions, random_instance, reference_validate
+from helpers import (
+    WEEK_START, make_horizon, random_emissions, random_instance, reference_fill, reference_validate,
+)
 
 
 class TestHorizon:
@@ -352,6 +356,59 @@ class TestRowSums:
             rows = np.repeat(np.arange(len(parts)), lengths)
             sums = row_sums(np.concatenate(parts), rows, len(parts))
             assert sums.tobytes() == np.array([part.sum() for part in parts]).tobytes()
+
+
+def fill_instance(rng: np.random.Generator) -> Instance:
+    """Up to eight jobs at rates k/3, k/7, k/9 or k/11, each needing no
+    energy, ``ENERGY_ATOL``/2 past its window's rate times width, a whole
+    number of rates, one ulp past that, or an amount in between."""
+    m = int(rng.integers(1, 17))
+    jobs = []
+    for k in range(int(rng.integers(0, 9))):
+        arrival = int(rng.integers(0, m))
+        departure = int(rng.integers(arrival + 1, m + 1))
+        rate = int(rng.integers(1, 40)) / int(rng.choice([3, 7, 9, 11]))
+        width = departure - arrival
+        whole = rate * int(rng.integers(0, width))
+        energy = (
+            0.0, rate * width + ENERGY_ATOL / 2, whole, np.nextafter(whole, np.inf),
+            rate * rng.uniform(0, width),
+        )[int(rng.integers(5))]
+        jobs.append(Job(id=f"j{k}", arrival=arrival, departure=departure, energy_kwh=energy,
+                        max_rate_kwh=rate))
+    return Instance(make_horizon(m), tuple(jobs))
+
+
+class TestFillWindows:
+    def test_both_solvers_fill_as_the_per_job_loop(self):
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            instance = fill_instance(rng)
+            m = instance.interval_count
+            # Few distinct factors, so that many intervals tie.
+            factors = rng.choice([0.1, 0.2, 0.3], m)
+            for schedule, expected in (
+                (solve_uncontrolled(instance), reference_fill(instance, np.arange(m))),
+                (solve_min_co2(instance, EmissionSeries(factors)), reference_fill(instance, factors)),
+            ):
+                validate_schedule(instance, schedule)
+                np.testing.assert_allclose(schedule.energy, expected.energy, rtol=0, atol=1e-12)
+
+    def test_ties_go_to_the_earlier_interval(self):
+        jobs = (Job(id="a", arrival=1, departure=5, energy_kwh=2.5, max_rate_kwh=1.0),)
+        instance = Instance(make_horizon(5), jobs)
+        factors = np.array([0.0, 0.2, 0.1, 0.2, 0.1])
+        # Intervals 2 and 4 fill first; of 1 and 3, interval 1 takes the rest.
+        assert list(fill_windows(instance, factors).energy) == [0.5, 1.0, 0.0, 1.0]
+        assert list(solve_min_co2(instance, EmissionSeries(factors)).energy) == [0.5, 1.0, 0.0, 1.0]
+        assert list(solve_uncontrolled(instance).energy) == [1.0, 1.0, 0.5, 0.0]
+        assert list(fill_windows(instance, np.zeros(5)).energy) == [1.0, 1.0, 0.5, 0.0]
+
+    def test_no_jobs(self):
+        instance = Instance(make_horizon(3), ())
+        for schedule in (fill_windows(instance, np.arange(3)), reference_fill(instance, np.arange(3))):
+            assert schedule.energy.shape == (0,)
+            assert schedule.aggregate_kwh.tobytes() == np.zeros(3).tobytes()
 
 
 class TestCheckFeasible:
