@@ -25,21 +25,17 @@ divide and conquer holds every block alive:
    the fill's level X: sink capacities min(cap, max(0, X - b(i))) cut as
    the unclipped ones do, since a sink arc clipped to the rates into its
    interval saturates only when its job arcs do.
-3. Split.  Cut jobs saturate their rate into every window interval
-   outside the cut; that spill becomes baseload for the rest, and both
-   halves are blocks of the next level.  Any level gives an exact
+3. Split.  The cut's spill becomes baseload for the rest, and both
+   halves are blocks of the next level
+   (:func:`~depotcharge.flow.decompose`).  Any level gives an exact
    split, so each block takes one max flow per level.
 
 The first level's blocks are the chains of overlapping windows: they
-share no job, so the objective separates across them.  The blocks of a
-level share no job and no interval, so one
-:class:`~depotcharge.flow.JobIntervalNetwork` holds the whole level as
-disjoint blocks: one max flow decides every block, and one residual
-search reads every block's cut.  The capped fills run for every block
-of a level at once, one row per block.  All of it runs on the
-instance's integer grid (:func:`~depotcharge.flow.grid`).  The schedule
-is read off the cuts as capped CO2 reads its flow
-(:func:`~depotcharge.flow.read_cut`): the spills and the flows of the
+share no job, so the objective separates across them.  These steps are
+flattening's sink rule in :func:`~depotcharge.flow.decompose`, the
+level loop capped CO2 shares, on the instance's integer grid
+(:func:`~depotcharge.flow.grid`); the capped fills of a level run for
+every block at once, one row per block.  The spills and the flows of the
 blocks that route deliver every grid unit, which is checked job by job
 and interval by interval.  The aggregate profile is unique even though
 the per-job decomposition is not.
@@ -52,9 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .flow import (
-    JobIntervalNetwork, block_level, grid, max_flow, read_cut, read_schedule, residual_reachable,
-)
+from .flow import JobIntervalNetwork, decompose, grid, max_flow, read_schedule, residual_reachable
 from .model import BaseloadSeries, Instance, Schedule
 
 
@@ -173,52 +167,31 @@ def _peel_targets(
     """Per-interval integer charge targets realizing the water-fill optimum
     on ``whole``, and a flow per arc of ``whole`` that delivers them."""
     m = whole.interval_count
-    spilled = np.zeros(whole.job_count, dtype=np.int64)
-    b_eff_i = np.rint(base_f * scale).astype(np.int64)
-    target_int = np.zeros(m, dtype=np.int64)
-    allocation = np.zeros(whole.arc_count, dtype=np.int64)
+    b_int = np.rint(base_f * scale).astype(np.int64)
+    routed = np.zeros(m, dtype=np.int64)
+
+    def route(level, jobs, ints, labels, job_pos, int_pos, remaining, load, volume):
+        # Each block's sinks are its rate-capped water fill over the
+        # baseload and the spills so far: a block that routes it is done,
+        # and the cut of any other is the threshold cut at the fill's level
+        # (module docstring, steps 1 and 2).
+        capacities = level.capacities(remaining[jobs], l_int[jobs], np.zeros(len(ints), dtype=np.int64))
+        shares = _capped_fill(b_int[ints] + load[ints], level.reach(capacities), int_pos, volume)
+        capacities[level.sink_arcs()] = shares
+        result = max_flow(level, capacities)
+        level_flows = level.arc_flows(result)
+        done = np.bincount(job_pos, level_flows[: len(jobs)], len(labels)) == volume
+        routed[ints[done[int_pos]]] = shares[done[int_pos]]
+        reachable = residual_reachable(level, capacities, result)
+        outside = np.bincount(int_pos[~reachable[level.interval_nodes()]], minlength=len(labels))
+        if np.any(~done & (outside == 0)):
+            raise SolverError("the cut at a block's shares failed to advance")
+        return reachable, level_flows, done, True
+
     # Each live job and interval carries its block's label.  The first
     # blocks are the chains of overlapping windows, which share no job:
     # a chain starts at i when no window [s, e) has s < i < e.
     held = np.bincount(whole.starts + 1, minlength=m + 1) - np.bincount(whole.stops, minlength=m + 1)
     int_block = np.cumsum(np.cumsum(held)[:m] == 0) - 1
-    job_block = int_block[whole.starts]
-    while True:
-        remaining = e_int - l_int * spilled
-        job_block[remaining <= 0] = -1
-        if np.all(job_block < 0):
-            return target_int, allocation
-        # One network holds the level, so one max flow decides every block.
-        network, jobs, ints, _, job_start, job_pos, int_pos = block_level(
-            whole.starts, whole.stops, job_block, int_block
-        )
-        volume = np.add.reduceat(remaining[jobs], job_start)
-        capacities = network.capacities(remaining[jobs], l_int[jobs], np.zeros(len(ints), dtype=np.int64))
-        sink_arcs = network.sink_arcs()
-        # Each block's sinks are its rate-capped water fill: a block that
-        # routes it is done, and the cut of any other is the threshold cut
-        # at the fill's level (module docstring, steps 1 and 2).
-        capacities[sink_arcs] = _capped_fill(b_eff_i[ints], network.reach(capacities), int_pos, volume)
-        result = max_flow(network, capacities)
-        flows = network.arc_flows(result)
-        done = np.add.reduceat(flows[: len(jobs)], job_start) == volume
-        target_int[ints[done[int_pos]]] += capacities[sink_arcs][done[int_pos]]
-
-        # The source side of a cut is each block's high part.  Its jobs'
-        # spill into the window intervals left outside is immovable and
-        # becomes baseload for the rest; it and the flows of the blocks
-        # that route are final.
-        cut_job, cut_int, spill_jobs, spill_ints = read_cut(
-            whole, network, jobs, ints, residual_reachable(network, capacities, result), flows,
-            done[job_pos], allocation,
-        )
-        if np.any(~done & (np.bincount(int_pos[~cut_int], minlength=len(volume)) == 0)):
-            raise SolverError("the cut at a block's shares failed to advance")
-        np.add.at(spilled, spill_jobs, 1)
-        np.add.at(target_int, spill_ints, l_int[spill_jobs])
-        np.add.at(b_eff_i, spill_ints, l_int[spill_jobs])
-        # Each block's cut side and rest form the next level.
-        job_block[jobs] = np.where(done[job_pos], -1, 2 * job_pos + cut_job)
-        int_block[ints] = np.where(done[int_pos], -1, 2 * int_pos + cut_int)
-        # Held while block_level builds the next level, they set the memory peak.
-        del network, result
+    flows, load = decompose(whole, e_int, l_int, int_block[whole.starts], int_block, route)
+    return routed + load, flows

@@ -17,10 +17,9 @@ each sink arc capped by the aggregate cap (or an amount that never
 binds, when the instance has no caps) and paying the interval's emission
 factor per unit.  The loads the intervals can take form a polymatroid
 whose rank is a max flow, so capped instances are solved by Edmonds'
-greedy over a divide and conquer on the cost ranks, whose levels are
-networks of disjoint blocks (:func:`block_level`).  As flattening does,
-it reads its flow off the levels' cuts (:func:`read_cut`): a feasibility
-max flow and one per level, at most 2 + ceil(log2 m).  The optimality
+greedy over a divide and conquer on the cost ranks: a feasibility max
+flow, then one per level of :func:`decompose`, the level loop that it
+shares with flattening, at most 2 + ceil(log2 m) in all.  The optimality
 certificate (:func:`verify_optimality`) checks every such flow with one
 Dijkstra search from the sink, since costs sit on the sink arcs only.
 Without caps the problem separates per job: one array pass
@@ -245,26 +244,55 @@ def block_level(starts, stops, job_block: np.ndarray, int_block: np.ndarray) -> 
     return network, jobs, ints, labels, job_start, job_pos, np.searchsorted(labels, int_block[ints])
 
 
-def read_cut(whole: JobIntervalNetwork, level: JobIntervalNetwork, jobs, ints, reachable, level_flows,
-             finished, flows: np.ndarray) -> tuple:
-    """Read the residual cut ``reachable`` of a :func:`block_level` network,
-    whose nodes are ``whole``'s ``jobs`` and ``ints``, and keep its final flows.
+def decompose(whole: JobIntervalNetwork, supply, rate, job_block, int_block, route) -> tuple:
+    """A divide and conquer over max-flow cuts on ``whole``: the flow per
+    arc of ``whole`` and the per-interval ``load`` that the cuts spill.
+
+    ``supply`` and ``rate`` are each job's integer energy and rate, and
+    ``job_block`` and ``int_block`` the first level's block labels,
+    relabelled in place.  Until every job has its energy, a level is one
+    :func:`block_level` network, and ``route(level, jobs, ints, labels,
+    job_pos, int_pos, remaining, load, volume)`` sets its sinks from each
+    block's ``volume`` of ``remaining`` energy and the ``load`` spilled
+    so far, runs its max flow and returns ``(reachable, level_flows,
+    finished, kept)``: the residual cut, the flow per level arc, the
+    blocks that are done and the intervals that go on outside the cut.
 
     A max flow saturates its cut, so each cut job fills every window
     interval of its block outside the cut at full rate.  That spill is
-    immovable, as is every ``level_flows`` arc of a job ``finished``
-    with its block: both go into ``flows``, in ``whole``'s arc order.
-    Returns the cut masks of the level's jobs and intervals and the job
-    and interval of ``whole`` of each spill, job-major.
+    immovable: it comes off the job's remaining energy and goes onto the
+    interval's load, and its flow, like every flow of a finished block,
+    is final.  Each block's cut side and rest are blocks ``2 * pos + 1``
+    and ``2 * pos`` of the next level; an interval outside the cut and
+    not kept is done.
     """
-    cut_job, cut_int = reachable[level.job_nodes()], reachable[level.interval_nodes()]
-    spill = cut_job[level.arc_job] & ~cut_int[level.arc_interval]
-    taken = np.flatnonzero(spill | finished[level.arc_job])
+    remaining, load = supply.copy(), np.zeros(whole.interval_count, dtype=np.int64)
+    flows = np.zeros(whole.arc_count, dtype=np.int64)
     # The arc of job k into interval i is first[k] + i.
     first = whole.job_count + np.cumsum(whole.widths) - whole.widths - whole.starts
-    arcs = first[jobs[level.arc_job[taken]]] + ints[level.arc_interval[taken]]
-    flows[arcs] = level_flows[level.job_count + taken]
-    return cut_job, cut_int, jobs[level.arc_job[spill]], ints[level.arc_interval[spill]]
+    while True:
+        job_block[remaining <= 0] = -1
+        if np.all(job_block < 0):
+            return flows, load
+        level, jobs, ints, labels, job_start, job_pos, int_pos = block_level(
+            whole.starts, whole.stops, job_block, int_block
+        )
+        volume = np.add.reduceat(remaining[jobs], job_start)
+        reachable, level_flows, finished, kept = route(
+            level, jobs, ints, labels, job_pos, int_pos, remaining, load, volume
+        )
+        cut_job, cut_int = reachable[level.job_nodes()], reachable[level.interval_nodes()]
+        spill = cut_job[level.arc_job] & ~cut_int[level.arc_interval]
+        taken = np.flatnonzero(spill | finished[job_pos][level.arc_job])
+        arcs = first[jobs[level.arc_job[taken]]] + ints[level.arc_interval[taken]]
+        flows[arcs] = level_flows[level.job_count + taken]
+        spill_jobs, spill_ints = jobs[level.arc_job[spill]], ints[level.arc_interval[spill]]
+        np.subtract.at(remaining, spill_jobs, rate[spill_jobs])
+        np.add.at(load, spill_ints, rate[spill_jobs])
+        job_block[jobs] = np.where(finished[job_pos], -1, 2 * job_pos + cut_job)
+        int_block[ints] = np.where(finished[int_pos] | ~(kept | cut_int), -1, 2 * int_pos + cut_int)
+        # Held while block_level builds the next level, it sets the memory peak.
+        del level
 
 
 def _grid_scale(top: float, bed: float) -> int:
@@ -359,14 +387,13 @@ def _polymatroid_greedy(
     hi), the rest [lo, theta), and closed intervals outside the cut are
     done.  A block keeps its intervals ranked below lo open, and they end
     full; a block of one rank gives its last interval the rest of its
-    energy and routes those targets in its level's max flow.  The blocks
-    of a level are one network (:func:`block_level`), and the flow is
-    read off the cuts' spills and the routed blocks of one rank
-    (:func:`read_cut`): a feasibility max flow on the whole network and
-    one per level, at most 2 + ceil(log2 m).  Returns the integer flow
-    per network arc; raises InfeasibleError, naming the jobs on the
-    source side of the cut, when the supplies cannot all be routed, and
-    SolverError when the flow misses a job's energy.
+    energy and routes those targets in its level's max flow.  That is the
+    sink rule of :func:`decompose`, which reads the flow off the cuts: a
+    feasibility max flow on the whole network and one per level, at most
+    2 + ceil(log2 m).  Returns the integer flow per network arc; raises
+    InfeasibleError, naming the jobs on the source side of the cut, when
+    the supplies cannot all be routed, and SolverError when the flow
+    misses a job's energy.
     """
     sink_arcs = network.sink_arcs()
     supply = capacities[network.source_arcs()]
@@ -387,50 +414,39 @@ def _polymatroid_greedy(
     m = network.interval_count
     rank = np.empty(m, dtype=np.int64)
     rank[np.argsort(costs[sink_arcs], kind="stable")] = np.arange(m)
-    remaining = supply.copy()
-    headroom = caps.copy()
-    flows = np.zeros(network.arc_count, dtype=np.int64)
-    job_block = np.zeros(network.job_count, dtype=np.int64)
-    int_block = np.zeros(m, dtype=np.int64)
     lo, hi = np.array([0]), np.array([m])
-    while True:
-        job_block[remaining <= 0] = -1
-        if np.all(job_block < 0):
-            break
-        level, jobs, ints, labels, job_start, job_pos, int_pos = block_level(
-            network.starts, network.stops, job_block, int_block
-        )
-        low, high = lo[labels], hi[labels]
-        mid = (low + high) // 2
-        leaf = high - low == 1
-        volume = np.add.reduceat(remaining[jobs], job_start)
 
+    def route(level, jobs, ints, labels, job_pos, int_pos, remaining, load, volume):
         # Every block probes with its intervals ranked below theta open.  A
         # block of one rank has theta at its rank: it fills those intervals
         # and routes the rest of its energy into the interval of its rank.
+        nonlocal lo, hi
+        low, high = lo[labels], hi[labels]
+        mid = (low + high) // 2
+        leaf = high - low == 1
+        headroom = caps[ints] - load[ints]
         opened = rank[ints] < mid[int_pos]
         last = leaf[int_pos] & (rank[ints] == low[int_pos])
-        below = np.bincount(int_pos[opened], headroom[ints[opened]], len(labels)).astype(np.int64)
-        room = np.bincount(int_pos[last], headroom[ints[last]], len(labels)).astype(np.int64)
+        below = np.bincount(int_pos[opened], headroom[opened], len(labels)).astype(np.int64)
+        room = np.bincount(int_pos[last], headroom[last], len(labels)).astype(np.int64)
         share = volume - below
         wrong = np.flatnonzero(leaf & ((share < 0) | (share > room)))
         if len(wrong):
             raise SolverError(f"a leaf share of {share[wrong[0]]} lies outside [0, {room[wrong[0]]}]")
-        sink = np.where(opened, headroom[ints], np.where(last, share[int_pos], 0))
+        sink = np.where(opened, headroom, np.where(last, share[int_pos], 0))
         level_caps = level.capacities(remaining[jobs], rate[jobs], sink)
         result = max_flow(level, level_caps)
-        cut_job, cut_int, spill_jobs, spill_ints = read_cut(
-            network, level, jobs, ints, residual_reachable(level, level_caps, result),
-            level.arc_flows(result), leaf[job_pos], flows,
-        )
-        np.subtract.at(remaining, spill_jobs, rate[spill_jobs])
-        np.subtract.at(headroom, spill_ints, rate[spill_jobs])
-        if np.any(headroom[spill_ints] < 0):
+        reachable = residual_reachable(level, level_caps, result)
+        # The cut's spill, which decompose takes as it is, must fit its intervals.
+        cut_job, cut_int = reachable[level.job_nodes()], reachable[level.interval_nodes()]
+        spill = cut_job[level.arc_job] & ~cut_int[level.arc_interval]
+        spilled = np.bincount(level.arc_interval[spill], rate[jobs[level.arc_job[spill]]], len(ints))
+        if np.any(spilled > headroom):
             raise SolverError("the spill of a cut overfills an interval")
-        job_block[jobs] = np.where(leaf[job_pos], -1, 2 * job_pos + cut_job)
-        int_block[ints] = np.where(leaf[int_pos] | ~(opened | cut_int), -1, 2 * int_pos + cut_int)
         lo, hi = np.stack([low, mid], axis=1).ravel(), np.stack([mid, high], axis=1).ravel()
+        return reachable, level.arc_flows(result), leaf, opened
 
+    flows, _ = decompose(network, supply, rate, np.zeros_like(supply), np.zeros_like(rank), route)
     flows[network.source_arcs()] = network.delivered(flows)
     flows[sink_arcs] = network.reach(flows)
     if np.any(flows[network.source_arcs()] != supply):

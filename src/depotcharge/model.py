@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -238,17 +239,21 @@ class Schedule:
         instance: The instance the schedule belongs to.
         energy: Energy per window interval of every job (kWh), job-major.
         aggregate_kwh: Summed charging profile, length ``interval_count``.
-        window_energy: Per job id, the view of its window in ``energy``.
     """
 
     instance: Instance
     energy: np.ndarray
     aggregate_kwh: np.ndarray
-    window_energy: dict[str, np.ndarray]
 
     @property
     def interval_count(self) -> int:
         return self.instance.interval_count
+
+    @cached_property
+    def window_energy(self) -> dict[str, np.ndarray]:
+        """Per job id, the view of its window in ``energy``, built on first use."""
+        views = np.split(self.energy, np.cumsum(job_windows(self.instance.jobs)[1])[:-1])
+        return {job.id: view for job, view in zip(self.instance.jobs, views)}
 
     @classmethod
     def of(cls, instance: Instance, energy) -> "Schedule":
@@ -261,8 +266,7 @@ class Schedule:
         energy.setflags(write=False)
         total = _profile(instance, energy)
         total.setflags(write=False)
-        views = np.split(energy, np.cumsum(widths)[:-1])
-        return cls(instance, energy, total, {job.id: view for job, view in zip(instance.jobs, views)})
+        return cls(instance, energy, total)
 
     @classmethod
     def build(cls, instance: Instance, allocations: Mapping[str, np.ndarray]) -> "Schedule":

@@ -84,14 +84,14 @@ def random_rows(rng, draw):
 def record_levels(monkeypatch):
     """Lists that fill with the block count of each level and the args of each max flow."""
     blocks, calls = [], []
-    exact_level, exact_flow = flatten.block_level, flatten.max_flow
+    exact_level, exact_flow = flow.block_level, flatten.max_flow
 
     def counted(*args):
         level = exact_level(*args)
         blocks.append(len(level[3]))  # the level's block labels
         return level
 
-    monkeypatch.setattr(flatten, "block_level", counted)
+    monkeypatch.setattr(flow, "block_level", counted)
     monkeypatch.setattr(flatten, "max_flow", lambda *args: calls.append(args) or exact_flow(*args))
     return blocks, calls
 

@@ -1,6 +1,8 @@
 """Tests for the job/interval network and the minimum-emission solvers."""
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,13 +11,13 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
-from depotcharge import flow
-from depotcharge.cli import SCENARIOS, _solve_scenario
+from depotcharge import flatten, flow
+from depotcharge.cli import OFFICE_BASELOAD_KW, SCENARIOS, _solve_scenario
 from depotcharge.errors import InfeasibleError, ScalingOverflowError, SolverError
 from depotcharge.matching import match_week, to_jobs
 from depotcharge.model import BaseloadSeries, Instance, Job, check_feasible, validate_schedule
 from depotcharge.oracle import lp_min_co2
-from depotcharge.synth import sinusoid_emissions, synth_timetable, week_horizon
+from depotcharge.synth import random_baseload, sinusoid_emissions, synth_timetable, week_horizon
 from depotcharge.weighted import Weights
 
 from helpers import make_horizon, random_emissions, random_instance
@@ -340,6 +342,37 @@ class TestSolveMinCo2:
         instance = Instance(horizon, jobs, caps_kwh=np.array([10.0, 5.0]))
         with pytest.raises(InfeasibleError, match="of jobs 'a', 'b'$"):
             flow.solve_min_co2(instance, flow.EmissionSeries(np.array([0.2, 0.1])))
+
+
+class TestKernelBindings:
+    """perfbench counts flattening's max flows and cuts through the
+    ``flatten`` module's bindings and capped CO2's through ``flow``'s, so
+    each solver must reach the kernel through its own module's names."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch) -> Counter:
+        counts = Counter()
+        for module, name in itertools.product((flatten, flow), ("max_flow", "residual_reachable")):
+            exact, label = getattr(module, name), f"{module.__name__.rsplit('.', 1)[1]}.{name}"
+            monkeypatch.setattr(
+                module, name, lambda *args, label=label, exact=exact: counts.update([label]) or exact(*args)
+            )
+        return counts
+
+    def test_flattening_calls_through_flatten(self, counts):
+        horizon = week_horizon()
+        jobs = to_jobs(match_week(synth_timetable(seed=0).lines, horizon), horizon)
+        baseload = random_baseload(horizon, *OFFICE_BASELOAD_KW, seed=0)
+        flatten.solve_flatten(flatten.FlattenProblem(Instance(horizon, jobs), baseload))
+        assert counts["flatten.max_flow"] == counts["flatten.residual_reachable"] > 0
+        assert counts["flow.max_flow"] == counts["flow.residual_reachable"] == 0
+
+    def test_capped_co2_calls_through_flow(self, counts):
+        instance = replicated_week(1, 150.0)
+        flow.solve_min_co2(instance, sinusoid_emissions(instance.horizon))
+        # Feasibility, whose max flow routes every supply, and one per level.
+        assert counts["flow.max_flow"] == 12 and counts["flow.residual_reachable"] == 11
+        assert counts["flatten.max_flow"] == counts["flatten.residual_reachable"] == 0
 
 
 def prefix_rank_greedy(network, capacities, costs):

@@ -435,19 +435,22 @@ def test_greedy_leaf_that_does_not_route(optimized):
 
 DROPPED_SPILL = case("greedy read-off that drops a spill", """
     # The first spill of job b into interval 1 is left out of the flow,
-    # so b delivers one rate short.
-    exact = flow.read_cut
+    # so b delivers one rate short.  The first level holds both jobs and
+    # every interval, the two cheapest open: a fills both at its rate, and
+    # b takes the rest of interval 1's cap, which its cut spills.
+    exact = flow.JobIntervalNetwork.arc_flows
     dropped = []
 
-    def one_spill_dropped(whole, level, jobs, ints, reachable, level_flows, finished, flows):
-        cut = exact(whole, level, jobs, ints, reachable, level_flows, finished, flows)
-        if len(cut[2]) and not dropped:
-            job_arcs = np.flatnonzero((whole.arc_job == cut[2][0]) & (whole.arc_interval == cut[3][0]))
-            dropped.append(whole.job_count + job_arcs)
-            flows[dropped[0]] = 0
-        return cut
+    def one_spill_dropped(network, result):
+        flows = exact(network, result)
+        if not dropped:
+            dropped.extend(network.job_arcs().start + np.flatnonzero(
+                (network.arc_job == 1) & (network.arc_interval == 1)
+            ))
+            flows[dropped] = 0
+        return flows
 
-    patch(flow, "read_cut", one_spill_dropped)
+    patch(flow.JobIntervalNetwork, "arc_flows", one_spill_dropped)
     spilling = Instance(horizon, (
         Job(id="a", arrival=0, departure=2, energy_kwh=4.0, max_rate_kwh=2.0),
         Job(id="b", arrival=1, departure=4, energy_kwh=5.0, max_rate_kwh=2.0),

@@ -147,6 +147,18 @@ class TestSchedule:
                 array[0] = 9.0
         assert schedule.energy[0] == 0.5
 
+    def test_views_are_built_on_first_use_from_the_energy_at_hand(self):
+        jobs = (
+            Job(id="a", arrival=0, departure=2, energy_kwh=1.0, max_rate_kwh=1.0),
+            Job(id="b", arrival=1, departure=3, energy_kwh=1.0, max_rate_kwh=1.0),
+        )
+        schedule = Schedule.of(Instance(make_horizon(3), jobs), [0.5, 0.5, 0.25, 0.75])
+        assert "window_energy" not in vars(schedule)
+        assert schedule.window_energy is schedule.window_energy
+        moved = dataclasses.replace(schedule, energy=np.array([1.0, 0.0, 0.0, 1.0]))
+        np.testing.assert_array_equal(moved.window_energy["b"], [0.0, 1.0])
+        np.testing.assert_array_equal(schedule.window_energy["b"], [0.25, 0.75])
+
     def test_no_jobs_give_a_float_zero_aggregate(self):
         instance = Instance(make_horizon(4), ())
         baseload = BaseloadSeries(np.arange(4.0))
