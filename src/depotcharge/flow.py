@@ -17,11 +17,11 @@ each sink arc capped by the aggregate cap (or an amount that never
 binds, when the instance has no caps) and paying the interval's emission
 factor per unit.  The loads the intervals can take form a polymatroid
 whose rank is a max flow, so capped instances are solved by Edmonds'
-greedy over a divide and conquer on the cost ranks: a feasibility max
-flow, then one per level of :func:`decompose`, the level loop that it
-shares with flattening, at most 2 + ceil(log2 m) in all.  The optimality
-certificate (:func:`verify_optimality`) checks every such flow with one
-Dijkstra search from the sink, since costs sit on the sink arcs only.
+greedy: a feasibility max flow, then :func:`decompose`, the one sink
+rule, which flattening runs over its baseload and capped CO2 over basins
+set 2**31 apart in cost rank.  The optimality certificate
+(:func:`verify_optimality`) checks every such flow with one Dijkstra
+search from the sink, since costs sit on the sink arcs only.
 Without caps the problem separates per job: one array pass
 (:func:`~depotcharge.model.fill_windows`) fills each bus's cleanest
 window intervals at full rate, the same pass that in time order is the
@@ -244,55 +244,145 @@ def block_level(starts, stops, job_block: np.ndarray, int_block: np.ndarray) -> 
     return network, jobs, ints, labels, job_start, job_pos, np.searchsorted(labels, int_block[ints])
 
 
-def decompose(whole: JobIntervalNetwork, supply, rate, job_block, int_block, route) -> tuple:
-    """A divide and conquer over max-flow cuts on ``whole``: the flow per
-    arc of ``whole`` and the per-interval ``load`` that the cuts spill.
+def decompose(
+    whole: JobIntervalNetwork, supply, rate, basins, caps, max_flow, residual_reachable
+) -> np.ndarray:
+    """The flow per arc of ``whole`` that minimises the sum over intervals
+    of (basin + charge)^2, by divide and conquer over max-flow cuts.
 
-    ``supply`` and ``rate`` are each job's integer energy and rate, and
-    ``job_block`` and ``int_block`` the first level's block labels,
-    relabelled in place.  Until every job has its energy, a level is one
-    :func:`block_level` network, and ``route(level, jobs, ints, labels,
-    job_pos, int_pos, remaining, load, volume)`` sets its sinks from each
-    block's ``volume`` of ``remaining`` energy and the ``load`` spilled
-    so far, runs its max flow and returns ``(reachable, level_flows,
-    finished, kept)``: the residual cut, the flow per level arc, the
-    blocks that are done and the intervals that go on outside the cut.
+    ``supply`` and ``rate`` are each job's integer energy and rate,
+    ``basins`` and ``caps`` each interval's integer basin and cap, and
+    ``max_flow`` and ``residual_reachable`` the caller's kernel calls.
+    This is the decomposition algorithm for separable convex costs over a
+    polymatroid base (Fujishige, Math. OR 1980), driven by the threshold
+    property of parametric min cuts (Gallo, Grigoriadis & Tarjan, SIAM J.
+    Comput. 1989): the binding cut at a level X separates the intervals
+    whose optimal level lies above X from the rest.  Subproblems are
+    blocks, each a set of jobs with their remaining energy and the
+    intervals they reach.  The first blocks are the chains of overlapping
+    windows, which share no job, and a level is one :func:`block_level`
+    network that holds every block alive:
 
-    A max flow saturates its cut, so each cut job fills every window
-    interval of its block outside the cut at full rate.  That spill is
-    immovable: it comes off the job's remaining energy and goes onto the
-    interval's load, and its flow, like every flow of a finished block,
-    is final.  Each block's cut side and rest are blocks ``2 * pos + 1``
-    and ``2 * pos`` of the next level; an interval outside the cut and
-    not kept is done.
+    1. Fill.  Each block's volume is water-filled over basin + load, each
+       interval capped at min(the rates into it, cap - load), on the
+       integer grid (:func:`_capped_fill`; Groenevelt, EJOR 1991).  Every
+       schedule of the block satisfies those caps, so the fill is optimal
+       for a relaxation of the block.
+    2. Route.  A max flow with the shares as sink capacities either routes
+       the whole volume, and the block is done at its relaxation's
+       optimum, or its source-reachable cut is a threshold cut at the
+       fill's level X: sinks min(u, max(0, X - b)) cut as unclipped ones
+       do, since a sink arc clipped to the rates into its interval
+       saturates only when its job arcs do.  The cut holds some but not
+       all of the block's intervals, since a job short of energy has an
+       unsaturated arc.
+    3. Split.  A max flow saturates its cut, so each cut job fills every
+       window interval of its block outside the cut at full rate.  That
+       spill is immovable: it comes off the job's remaining energy and
+       goes onto the interval's load, and its flow, like every flow of a
+       finished block, is final.  Each block's cut side and rest are
+       blocks ``2 * pos + 1`` and ``2 * pos`` of the next level.
+
+    Every level thus splits each unfinished block.  Raises SolverError
+    when a cut does not split its block or its spill overfills an
+    interval, and when the flow misses a job's energy, a rate or the
+    routed shares plus the load of an interval.
     """
-    remaining, load = supply.copy(), np.zeros(whole.interval_count, dtype=np.int64)
+    m = whole.interval_count
+    remaining, load, routed = supply.copy(), np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
     flows = np.zeros(whole.arc_count, dtype=np.int64)
     # The arc of job k into interval i is first[k] + i.
     first = whole.job_count + np.cumsum(whole.widths) - whole.widths - whole.starts
+    # A chain starts at i when no window [s, e) has s < i < e.
+    held = np.bincount(whole.starts + 1, minlength=m + 1) - np.bincount(whole.stops, minlength=m + 1)
+    int_block = np.cumsum(np.cumsum(held)[:m] == 0) - 1
+    job_block = int_block[whole.starts]
     while True:
         job_block[remaining <= 0] = -1
         if np.all(job_block < 0):
-            return flows, load
+            break
         level, jobs, ints, labels, job_start, job_pos, int_pos = block_level(
             whole.starts, whole.stops, job_block, int_block
         )
         volume = np.add.reduceat(remaining[jobs], job_start)
-        reachable, level_flows, finished, kept = route(
-            level, jobs, ints, labels, job_pos, int_pos, remaining, load, volume
+        capacities = level.capacities(remaining[jobs], rate[jobs], np.zeros(len(ints), dtype=np.int64))
+        headroom = caps[ints] - load[ints]
+        shares = _capped_fill(
+            basins[ints] + load[ints], np.minimum(level.reach(capacities), headroom), int_pos, volume
         )
+        capacities[level.sink_arcs()] = shares
+        result = max_flow(level, capacities)
+        level_flows = level.arc_flows(result)
+        done = np.bincount(job_pos, level_flows[: len(jobs)], len(labels)) == volume
+        routed[ints[done[int_pos]]] = shares[done[int_pos]]
+        reachable = residual_reachable(level, capacities, result)
         cut_job, cut_int = reachable[level.job_nodes()], reachable[level.interval_nodes()]
+        inside = np.bincount(int_pos[cut_int], minlength=len(labels))
+        if np.any(~done & ((inside == 0) | (inside == np.bincount(int_pos, minlength=len(labels))))):
+            raise SolverError("the cut at a block's shares failed to advance")
         spill = cut_job[level.arc_job] & ~cut_int[level.arc_interval]
-        taken = np.flatnonzero(spill | finished[job_pos][level.arc_job])
+        spill_jobs, spill_ints = jobs[level.arc_job[spill]], ints[level.arc_interval[spill]]
+        if np.any(np.bincount(level.arc_interval[spill], rate[spill_jobs], len(ints)) > headroom):
+            raise SolverError("the spill of a cut overfills an interval")
+        taken = np.flatnonzero(spill | done[job_pos][level.arc_job])
         arcs = first[jobs[level.arc_job[taken]]] + ints[level.arc_interval[taken]]
         flows[arcs] = level_flows[level.job_count + taken]
-        spill_jobs, spill_ints = jobs[level.arc_job[spill]], ints[level.arc_interval[spill]]
         np.subtract.at(remaining, spill_jobs, rate[spill_jobs])
         np.add.at(load, spill_ints, rate[spill_jobs])
-        job_block[jobs] = np.where(finished[job_pos], -1, 2 * job_pos + cut_job)
-        int_block[ints] = np.where(finished[int_pos] | ~(kept | cut_int), -1, 2 * int_pos + cut_int)
+        job_block[jobs] = np.where(done[job_pos], -1, 2 * job_pos + cut_job)
+        int_block[ints] = np.where(done[int_pos], -1, 2 * int_pos + cut_int)
         # Held while block_level builds the next level, it sets the memory peak.
         del level
+    flows[whole.source_arcs()] = whole.delivered(flows)
+    flows[whole.sink_arcs()] = whole.reach(flows)
+    charged = flows[whole.job_arcs()]
+    if (
+        np.any(flows[whole.source_arcs()] != supply) or np.any(flows[whole.sink_arcs()] != routed + load)
+        or np.any((charged < 0) | (charged > np.repeat(rate, whole.widths)))
+    ):
+        raise SolverError("the allocation read off the cuts misses a job's energy, a share or a rate")
+    return flows
+
+
+def _capped_fill(basins, caps, rows, volumes) -> np.ndarray:
+    """Per row, integer shares of its volume that water-fill its intervals
+    up to their caps, with the least sum of (basin + share)^2.
+
+    A row's level X is the highest integer whose fill
+    F(X) = sum min(cap, max(0, X - basin)) holds the volume, and each
+    interval takes min(cap, max(0, X - basin)).  The rest of the volume
+    is less than the count of intervals still filling at X; they take
+    one unit each, lowest basin first.  ``rows`` labels the intervals
+    and does not decrease.
+    """
+    count, n = len(volumes), len(basins)
+    room = np.bincount(rows, caps, count).astype(np.int64)
+    if np.any(room < volumes):
+        raise SolverError("capped water fill found no level")
+    # Sweep each row's basins, where an interval starts to fill, and tops,
+    # where it stops: between two events the fill rises by the level's
+    # step times the count of filling intervals, and that count is 0
+    # between rows, so the sweep reaches a row with the earlier rows' room.
+    events = np.concatenate([basins, basins + caps])
+    order = np.lexsort((events, np.tile(rows, 2)))
+    events = events[order]
+    filling = np.cumsum(np.where(order < n, 1, -1))
+    fill = np.cumsum(np.diff(events, prepend=events[:1]) * np.concatenate([[0], filling[:-1]]))
+    # Each row's level lies past the last of its events whose fill holds
+    # the volume, by whole steps of the intervals filling there (none
+    # fill past a row's last top, which only a full room reaches).
+    held = volumes + np.cumsum(room) - room
+    ends = 2 * np.cumsum(np.bincount(rows, minlength=count))
+    at = (np.minimum(np.searchsorted(fill, held, "right"), ends) - 1)[rows]
+    steps, rest = np.divmod(held[rows] - fill[at], np.maximum(filling[at], 1))
+    level = events[at] + steps
+    shares = np.clip(level - basins, 0, caps)
+    # The intervals still filling at X take the rest in order of basin,
+    # ranked within their row.
+    up = np.flatnonzero((basins <= level) & (level < basins + caps))
+    up = up[np.lexsort((basins[up], rows[up]))]
+    shares[up[np.arange(len(up)) - np.searchsorted(rows[up], rows[up]) < rest[up]]] += 1
+    return shares
 
 
 def _grid_scale(top: float, bed: float) -> int:
@@ -317,7 +407,9 @@ def grid(
     pile-up plus ``bed`` (flattening's summed absolute baseload) inside
     int64 level sums.  Rates and caps (clipped first to the pile-up, the
     sink without caps) snap to the grid or are floored off it, so no
-    scaled schedule exceeds them.  Energies round to nearest within the
+    scaled schedule exceeds them, and each sink is clipped to the snapped
+    rates into its interval, where a sink without caps never binds.
+    Energies round to nearest within the
     floored rate times the window width; :func:`read_schedule`
     restores the sub-unit rest.
     """
@@ -333,7 +425,8 @@ def grid(
     caps = pile if instance.caps_kwh is None else np.minimum(instance.caps_kwh, pile)
     rate = _snap(rates * scale)
     supply = np.minimum(np.rint(energies * scale).astype(np.int64), rate * network.widths)
-    return network, scale, supply, rate, _snap(caps * scale)
+    reach = np.bincount(network.arc_interval, rate[network.arc_job], network.interval_count)
+    return network, scale, supply, rate, np.minimum(_snap(caps * scale), reach.astype(np.int64))
 
 
 def build_network(
@@ -370,7 +463,7 @@ def violating_jobs(network: JobIntervalNetwork, capacities: np.ndarray) -> np.nd
 def _polymatroid_greedy(
     network: JobIntervalNetwork, capacities: np.ndarray, costs: np.ndarray, job_ids: list[str]
 ) -> np.ndarray:
-    """Minimum-cost flow by Edmonds' greedy, split by cost-rank cuts.
+    """Minimum-cost flow by Edmonds' greedy, as the water fill over cost-rank bands.
 
     Costs sit on the sink arcs only.  The interval loads a flow can
     deliver form a polymatroid whose rank r(S) is the max flow with only
@@ -378,80 +471,32 @@ def _polymatroid_greedy(
     the sink arcs in stable order of cost and giving each interval its
     rank increment y(i) = r(S_i) - r(S_{i-1}), S_i being the i cheapest.
 
-    Every flow that delivers y is a max flow of each probe with the sink
-    arcs below a rank threshold open, so it saturates that probe's cut:
-    the cut's jobs fill every open interval outside it at full rate and
-    its open intervals to their caps, and the jobs outside it charge only
-    in open intervals outside it.  Blocks of a rank range [lo, hi) thus
-    split at theta = (lo + hi) // 2: cut jobs and intervals solve [theta,
-    hi), the rest [lo, theta), and closed intervals outside the cut are
-    done.  A block keeps its intervals ranked below lo open, and they end
-    full; a block of one rank gives its last interval the rest of its
-    energy and routes those targets in its level's max flow.  That is the
-    sink rule of :func:`decompose`, which reads the flow off the cuts: a
-    feasibility max flow on the whole network and one per level, at most
-    2 + ceil(log2 m).  Returns the integer flow per network arc; raises
-    InfeasibleError, naming the jobs on the source side of the cut, when
-    the supplies cannot all be routed, and SolverError when the flow
-    misses a job's energy.
+    That base is the one :func:`decompose` reaches over basins
+    ``rank << 31``.  The kernel is 32-bit, so every room is below 2**31
+    and the fill takes the intervals strictly in rank order: a greedy
+    prefix fill.  No other base does better, since a unit moved to a
+    lower rank would raise a greedy prefix rank, and one moved to a higher
+    rank raises that interval's level by more than 2**31 less its room.
+    A feasibility max flow on the whole network comes first.  Returns the
+    integer flow per network arc; raises InfeasibleError, naming the jobs
+    on the source side of the cut, when the supplies cannot all be
+    routed, and SolverError when :func:`decompose` does.
     """
     sink_arcs = network.sink_arcs()
-    supply = capacities[network.source_arcs()]
-    rate = np.zeros(network.job_count, dtype=np.int64)
-    rate[network.arc_job] = capacities[network.job_arcs()]
-    # A cap beyond the summed rates into its interval never binds;
-    # clipping it keeps huge caps inside the kernel range.
-    caps = np.minimum(capacities[sink_arcs], network.reach(capacities))
-    probe = capacities.copy()
-    probe[sink_arcs] = caps
-    cut = violating_jobs(network, probe)
+    cut = violating_jobs(network, capacities)
     if len(cut):
         names = ", ".join(repr(job_ids[k]) for k in cut)
         raise InfeasibleError(
             f"aggregate caps leave no room for the remaining charging energy of jobs {names}"
         )
-
-    m = network.interval_count
-    rank = np.empty(m, dtype=np.int64)
-    rank[np.argsort(costs[sink_arcs], kind="stable")] = np.arange(m)
-    lo, hi = np.array([0]), np.array([m])
-
-    def route(level, jobs, ints, labels, job_pos, int_pos, remaining, load, volume):
-        # Every block probes with its intervals ranked below theta open.  A
-        # block of one rank has theta at its rank: it fills those intervals
-        # and routes the rest of its energy into the interval of its rank.
-        nonlocal lo, hi
-        low, high = lo[labels], hi[labels]
-        mid = (low + high) // 2
-        leaf = high - low == 1
-        headroom = caps[ints] - load[ints]
-        opened = rank[ints] < mid[int_pos]
-        last = leaf[int_pos] & (rank[ints] == low[int_pos])
-        below = np.bincount(int_pos[opened], headroom[opened], len(labels)).astype(np.int64)
-        room = np.bincount(int_pos[last], headroom[last], len(labels)).astype(np.int64)
-        share = volume - below
-        wrong = np.flatnonzero(leaf & ((share < 0) | (share > room)))
-        if len(wrong):
-            raise SolverError(f"a leaf share of {share[wrong[0]]} lies outside [0, {room[wrong[0]]}]")
-        sink = np.where(opened, headroom, np.where(last, share[int_pos], 0))
-        level_caps = level.capacities(remaining[jobs], rate[jobs], sink)
-        result = max_flow(level, level_caps)
-        reachable = residual_reachable(level, level_caps, result)
-        # The cut's spill, which decompose takes as it is, must fit its intervals.
-        cut_job, cut_int = reachable[level.job_nodes()], reachable[level.interval_nodes()]
-        spill = cut_job[level.arc_job] & ~cut_int[level.arc_interval]
-        spilled = np.bincount(level.arc_interval[spill], rate[jobs[level.arc_job[spill]]], len(ints))
-        if np.any(spilled > headroom):
-            raise SolverError("the spill of a cut overfills an interval")
-        lo, hi = np.stack([low, mid], axis=1).ravel(), np.stack([mid, high], axis=1).ravel()
-        return reachable, level.arc_flows(result), leaf, opened
-
-    flows, _ = decompose(network, supply, rate, np.zeros_like(supply), np.zeros_like(rank), route)
-    flows[network.source_arcs()] = network.delivered(flows)
-    flows[sink_arcs] = network.reach(flows)
-    if np.any(flows[network.source_arcs()] != supply):
-        raise SolverError("the flow read off the cuts misses a job's energy")
-    return flows
+    rate = np.zeros(network.job_count, dtype=np.int64)
+    rate[network.arc_job] = capacities[network.job_arcs()]
+    rank = np.empty(network.interval_count, dtype=np.int64)
+    rank[np.argsort(costs[sink_arcs], kind="stable")] = np.arange(network.interval_count)
+    return decompose(
+        network, capacities[network.source_arcs()], rate, rank << 31, capacities[sink_arcs],
+        max_flow, residual_reachable,
+    )
 
 
 @dataclass(frozen=True)

@@ -109,7 +109,7 @@ class TestGridHelpers:
             room = np.bincount(rows, caps, len(parts)).astype(np.int64)
             kinds = rng.choice(["some", "none", "all"], size=len(parts))
             volumes = np.where(kinds == "all", room, np.where(kinds == "some", rng.integers(0, room + 1), 0))
-            shares = flatten._capped_fill(basins, caps, rows, volumes)
+            shares = flow._capped_fill(basins, caps, rows, volumes)
             np.testing.assert_array_equal(np.bincount(rows, shares, len(parts)), volumes)
             assert np.all((shares >= 0) & (shares <= caps))
             for r in range(len(parts)):
@@ -121,9 +121,9 @@ class TestGridHelpers:
         # A lone row with no interval, and basins 1e5 grid units apart
         # under volumes of 0 and 1.
         none = np.array([], dtype=np.int64)
-        assert flatten._capped_fill(none, none, none, np.array([0])).shape == (0,)
+        assert flow._capped_fill(none, none, none, np.array([0])).shape == (0,)
         basins, caps = np.array([0, 100_000, 50_000, 150_000]), np.array([3, 3, 3, 3])
-        shares = flatten._capped_fill(basins, caps, np.array([0, 0, 1, 1]), np.array([0, 1]))
+        shares = flow._capped_fill(basins, caps, np.array([0, 0, 1, 1]), np.array([0, 1]))
         np.testing.assert_array_equal(shares, [0, 0, 1, 0])
 
     def test_capped_fill_minimizes_the_squares(self):
@@ -136,7 +136,7 @@ class TestGridHelpers:
             size = int(rng.integers(1, 5))
             basins, caps = rng.integers(0, 6, size), rng.integers(0, 4, size)
             volume = int(rng.integers(0, caps.sum() + 1))
-            shares = flatten._capped_fill(basins, caps, np.zeros(size, dtype=np.int64), np.array([volume]))
+            shares = flow._capped_fill(basins, caps, np.zeros(size, dtype=np.int64), np.array([volume]))
             vectors = [
                 np.array(v) for v in itertools.product(*(range(cap + 1) for cap in caps)) if sum(v) == volume
             ]

@@ -1,7 +1,6 @@
 """Tests for the job/interval network and the minimum-emission solvers."""
 
 import itertools
-import math
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -265,22 +264,30 @@ class TestSolveMinCo2:
         assert co2_total(schedule, emissions) == pytest.approx(reference.objective, rel=1e-9)
 
     def test_capped_solve_takes_a_max_flow_per_level(self, monkeypatch):
-        # Feasibility and one per level of the rank halving, in which the
-        # blocks of one rank route their own targets.
-        calls = []
-        exact = flow.max_flow
-        monkeypatch.setattr(flow, "max_flow", lambda *args: calls.append(args) or exact(*args))
-        rng = np.random.default_rng(43)
-        for _ in range(10):
-            instance = random_instance(rng, with_caps=True)
-            calls.clear()
-            flow.solve_min_co2(instance, emission_series(rng, instance.interval_count))
-            assert 0 < len(calls) <= 2 + math.ceil(math.log2(instance.interval_count))
+        # Feasibility and one per level of the decomposition, which splits
+        # every block that does not route, so the largest block shrinks
+        # by an interval or more per level.
+        calls, largest = [], []
+        exact_flow, exact_level = flow.max_flow, flow.block_level
 
-    def test_week_cap_takes_twelve_max_flows(self, monkeypatch):
-        # 672 intervals halve in ten levels to blocks of one rank: 1 + 10 + 1
-        # max flows with feasibility, where one per prefix of the cost
-        # order would take m + 1 = 673.
+        def counted(*args):
+            level = exact_level(*args)
+            largest.append(np.bincount(level[6]).max())  # intervals per block
+            return level
+
+        monkeypatch.setattr(flow, "max_flow", lambda *args: calls.append(args) or exact_flow(*args))
+        monkeypatch.setattr(flow, "block_level", counted)
+        rng = np.random.default_rng(43)
+        for _ in range(30):
+            instance = random_instance(rng, with_caps=True)
+            del calls[:], largest[:]
+            flow.solve_min_co2(instance, emission_series(rng, instance.interval_count))
+            assert len(calls) == 1 + len(largest) > 1
+            assert np.all(np.diff(largest) < 0) and largest[0] <= instance.interval_count
+
+    def test_week_cap_takes_ten_max_flows(self, monkeypatch):
+        # Feasibility and nine levels, where one max flow per prefix of the
+        # cost order would take m + 1 = 673.
         calls = []
         exact = flow.max_flow
         monkeypatch.setattr(flow, "max_flow", lambda *args: calls.append(args) or exact(*args))
@@ -289,7 +296,7 @@ class TestSolveMinCo2:
         instance = Instance(horizon, jobs, caps_kwh=np.full(horizon.interval_count, 150.0))
         schedule = flow.solve_min_co2(instance, sinusoid_emissions(horizon))
         validate_schedule(instance, schedule)
-        assert 0 < len(calls) <= 12
+        assert 0 < len(calls) <= 10
 
     def test_whole_network_goes_to_the_kernel_once(self, monkeypatch):
         # Only the feasibility check runs on the whole network; the flow
@@ -371,7 +378,7 @@ class TestKernelBindings:
         instance = replicated_week(1, 150.0)
         flow.solve_min_co2(instance, sinusoid_emissions(instance.horizon))
         # Feasibility, whose max flow routes every supply, and one per level.
-        assert counts["flow.max_flow"] == 12 and counts["flow.residual_reachable"] == 11
+        assert counts["flow.max_flow"] == 10 and counts["flow.residual_reachable"] == 9
         assert counts["flatten.max_flow"] == counts["flatten.residual_reachable"] == 0
 
 

@@ -148,22 +148,40 @@ def writes_a_file(node: ast.AST) -> bool:
     )
 
 
-def test_only_the_csv_writer_writes_files():
-    # Every file the package writes gets its cells and line ends from data._write_csv.
-    inside = []
-    found = []
+def placed(matches, owner_file: str, owner: str) -> tuple[list[str], list[str]]:
+    """``file:line`` of the package's AST nodes that ``matches``, inside
+    the top-level function ``owner`` of ``owner_file`` and elsewhere."""
+    inside, found = [], []
     for path in sorted((SRC / "depotcharge").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         allowed = set()
-        if path.name == "data.py":
+        if path.name == owner_file:
             for node in tree.body:
-                if isinstance(node, ast.FunctionDef) and node.name == "_write_csv":
+                if isinstance(node, ast.FunctionDef) and node.name == owner:
                     allowed = {id(inner) for inner in ast.walk(node)}
         for node in ast.walk(tree):
-            if writes_a_file(node):
+            if matches(node):
                 (inside if id(node) in allowed else found).append(f"{path.name}:{node.lineno}")
+    return inside, found
+
+
+def test_only_the_csv_writer_writes_files():
+    # Every file the package writes gets its cells and line ends from data._write_csv.
+    inside, found = placed(writes_a_file, "data.py", "_write_csv")
     assert len(inside) == 2, f"data._write_csv should open a file and make a csv.writer: {inside}"
     assert not found, f"files written outside data._write_csv at {found}"
+
+
+def test_only_decompose_builds_and_fills_levels():
+    # flow.decompose is the one level loop and holds the one sink rule,
+    # so no other code may name block_level or _capped_fill.
+    def names_a_level_step(node: ast.AST) -> bool:
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        return isinstance(node, (ast.Name, ast.Attribute)) and name in ("block_level", "_capped_fill")
+
+    inside, found = placed(names_a_level_step, "flow.py", "decompose")
+    assert len(inside) == 2, f"flow.decompose should build each level and fill it: {inside}"
+    assert not found, f"block_level or _capped_fill named outside flow.decompose at {found}"
 
 
 def test_solvers_build_schedules_in_the_job_arc_layout():
@@ -185,9 +203,9 @@ IGNORED_CAPS = case("fill that ignores the caps", """
     # fill, whose shares here overfill the interval only job b reaches.
     # Any level still gives an exact cut, so the search takes more max
     # flows but ends in an exchange-optimal schedule.
-    exact_fill, exact_flow = flatten._capped_fill, flatten.max_flow
+    exact_fill, exact_flow = flow._capped_fill, flatten.max_flow
     calls = []
-    patch(flatten, "_capped_fill", lambda basins, caps, *rest: exact_fill(basins, caps + 10**12, *rest))
+    patch(flow, "_capped_fill", lambda basins, caps, *rest: exact_fill(basins, caps + 10**12, *rest))
     patch(flatten, "max_flow", lambda *args: calls.append(args) or exact_flow(*args))
 
     def run():
@@ -218,14 +236,14 @@ MISSED_VOLUME = {
     unit: case(f"fill {unit:+d} unit", """
         # The largest share of every fill is one grid unit off, so the
         # shares lose or invent a unit of their block's volume.
-        exact = flatten._capped_fill
+        exact = flow._capped_fill
 
         def one_unit_off(*args):
             shares = exact(*args)
             shares[np.argmax(shares)] += UNIT
             return shares
 
-        patch(flatten, "_capped_fill", one_unit_off)
+        patch(flow, "_capped_fill", one_unit_off)
 
         def run():
             flatten.solve_flatten(flatten.FlattenProblem(instance))
@@ -238,8 +256,8 @@ MISSED_VOLUME = {
     "unit, expected",
     # Shares a unit short never route the volume, and their cut takes in
     # the whole block; shares a unit over route it but leave one share
-    # unfilled, so the targets miss the allocation.
-    [(-1, "a block's shares failed to advance"), (1, "misses an energy, a target or a rate")],
+    # unfilled, so the routed shares miss the allocation.
+    [(-1, "a block's shares failed to advance"), (1, "misses a job's energy, a share or a rate")],
     ids=["loses", "invents"],
 )
 def test_fill_that_misses_the_volume(optimized, unit, expected):
@@ -248,7 +266,7 @@ def test_fill_that_misses_the_volume(optimized, unit, expected):
 
 UNROUTED = case("group shares that never route", """
     # Zero shares route nothing, so the cut takes in the whole group.
-    patch(flatten, "_capped_fill", lambda basins, *rest: np.zeros(len(basins), dtype=np.int64))
+    patch(flow, "_capped_fill", lambda basins, *rest: np.zeros(len(basins), dtype=np.int64))
 
     def run():
         flatten.solve_flatten(flatten.FlattenProblem(instance))
@@ -262,7 +280,7 @@ def test_group_shares_that_never_route(optimized):
 UNROUTED_BESIDE_ROUTED = case("group shares that never route beside a routing block", """
     # Two groups share a level: the first one's zero shares route
     # nothing while the second one's route in the same max flow.
-    exact = flatten._capped_fill
+    exact = flow._capped_fill
 
     def first_group_routes_nothing(basins, caps, rows, volumes):
         if len(np.unique(rows)) != 2:
@@ -271,7 +289,7 @@ UNROUTED_BESIDE_ROUTED = case("group shares that never route beside a routing bl
         shares[rows == rows[0]] = 0
         return shares
 
-    patch(flatten, "_capped_fill", first_group_routes_nothing)
+    patch(flow, "_capped_fill", first_group_routes_nothing)
     halves = Instance(horizon, (
         Job(id="a", arrival=0, departure=2, energy_kwh=4.0, max_rate_kwh=4.0),
         Job(id="b", arrival=2, departure=4, energy_kwh=1.0, max_rate_kwh=4.0),
@@ -284,6 +302,27 @@ UNROUTED_BESIDE_ROUTED = case("group shares that never route beside a routing bl
 
 def test_group_shares_that_never_route_beside_a_routing_block(optimized):
     assert_refused(optimized[UNROUTED_BESIDE_ROUTED], "a block's shares")
+
+
+EMPTY_CUT = case("flattening cut that holds no interval", """
+    # The chain [0, 2) does not route its first fill: interval 0 takes 2
+    # of its 4 kWh, but only job a, with 0.5 kWh, reaches it.
+    # An empty cut leaves the block as it is.
+    patch(flatten, "residual_reachable", lambda network, capacities, result: np.zeros(
+        network.node_count, dtype=bool
+    ))
+    short = Instance(horizon, (
+        Job(id="a", arrival=0, departure=2, energy_kwh=0.5, max_rate_kwh=2.0),
+        Job(id="b", arrival=1, departure=2, energy_kwh=3.5, max_rate_kwh=4.0),
+    ))
+
+    def run():
+        flatten.solve_flatten(flatten.FlattenProblem(short))
+""")
+
+
+def test_flattening_cut_that_holds_no_interval(optimized):
+    assert_refused(optimized[EMPTY_CUT], "failed to advance")
 
 
 MISSED_JOB = case("allocation that misses a job", """
@@ -313,7 +352,7 @@ def test_allocation_that_misses_a_job(optimized):
 NO_LEVEL = case("integer water fill without a level", """
     # Caps of 1 and 2 grid units cannot hold a volume of 4.
     def run():
-        flatten._capped_fill(np.array([0, 0]), np.array([1, 2]), np.array([0, 0]), np.array([4]))
+        flow._capped_fill(np.array([0, 0]), np.array([1, 2]), np.array([0, 0]), np.array([4]))
 """)
 
 
@@ -324,7 +363,7 @@ def test_integer_water_fill_without_a_level(optimized):
 NO_BASINS = case("integer water fill without basins", """
     def run():
         none = np.array([], dtype=np.int64)
-        flatten._capped_fill(none, none, none, np.array([5]))
+        flow._capped_fill(none, none, none, np.array([5]))
 """)
 
 
@@ -362,7 +401,9 @@ def test_short_extraction(optimized):
     assert_refused(optimized[SHORT], "no room", error="InfeasibleError")
 
 
-# Indented like the bodies it ends, so that they dedent together.
+# Indented like the bodies they end, so that they dedent together.  The
+# first fill of CAPPED routes; that of COUPLED does not, since it gives
+# interval 0, the cheapest, more than job a, the only job reaching it, has.
 CAPPED = """
     capped = Instance(horizon, instance.jobs, caps_kwh=np.full(4, 3.0))
 
@@ -370,31 +411,39 @@ CAPPED = """
         flow.solve_min_co2(capped, EmissionSeries(np.array([0.3, 0.1, 0.2, 0.4])))
 """
 
+COUPLED = """
+    coupled = Instance(horizon, (
+        Job(id="a", arrival=0, departure=2, energy_kwh=1.0, max_rate_kwh=2.0),
+        Job(id="b", arrival=1, departure=4, energy_kwh=4.0, max_rate_kwh=2.0),
+    ), caps_kwh=np.full(4, 3.0))
+
+    def run():
+        flow.solve_min_co2(coupled, EmissionSeries(np.array([0.1, 0.2, 0.3, 0.4])))
+"""
+
 
 CUT_NOTHING = case("greedy cuts that take in nothing", """
-    # No cut: every job stays with the cheaper half until a leaf of one
-    # interval is left with all of the energy.
+    # No cut: the block that does not route would stay as it is.
     patch(flow, "residual_reachable", lambda network, capacities, result: np.zeros(
         network.node_count, dtype=bool
     ))
-""" + CAPPED)
+""" + COUPLED)
 
 
 def test_greedy_cuts_that_take_in_nothing(optimized):
-    assert_refused(optimized[CUT_NOTHING], "a leaf share of 700000000 lies outside [0, 300000000]")
+    assert_refused(optimized[CUT_NOTHING], "failed to advance")
 
 
 CUT_EVERYTHING = case("greedy cuts that take in everything", """
-    # Every cut takes in everything, so the last leaf owes its full
-    # intervals more than its jobs have left.
+    # Every cut takes in everything, so no block ever splits.
     patch(flow, "residual_reachable", lambda network, capacities, result: np.ones(
         network.node_count, dtype=bool
     ))
-""" + CAPPED)
+""" + COUPLED)
 
 
 def test_greedy_cuts_that_take_in_everything(optimized):
-    assert_refused(optimized[CUT_EVERYTHING], "a leaf share of -100000000 lies outside [0, 200000000]")
+    assert_refused(optimized[CUT_EVERYTHING], "failed to advance")
 
 
 SPILL = case("greedy spill past a cap", """
@@ -414,23 +463,24 @@ def test_greedy_spill_past_a_cap(optimized):
 
 
 SHORT_LEAVES = case("greedy leaf that does not route", """
-    # The fourth max flow, the level of blocks of one rank, comes back
-    # empty, so the leaves' jobs deliver nothing there.
+    # The third and last max flow, the level of the two blocks that the
+    # first level's cut split off, comes back empty, so neither block
+    # routes and each cut takes in all of its block.
     exact = flow.max_flow
     calls = []
 
     def short_leaves(network, capacities):
         calls.append(network)
-        if len(calls) == 4:
+        if len(calls) == 3:
             return exact(network, np.zeros_like(capacities))
         return exact(network, capacities)
 
     patch(flow, "max_flow", short_leaves)
-""" + CAPPED)
+""" + COUPLED)
 
 
 def test_greedy_leaf_that_does_not_route(optimized):
-    assert_refused(optimized[SHORT_LEAVES], "misses a job's energy")
+    assert_refused(optimized[SHORT_LEAVES], "failed to advance")
 
 
 DROPPED_SPILL = case("greedy read-off that drops a spill", """
