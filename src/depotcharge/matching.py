@@ -10,6 +10,12 @@ charging jobs for the schedulers are derived.
 Readiness is counted in whole intervals from the interval-ceiled
 arrival, so a matched bus's charging window is feasible at the charger
 rate by construction.
+
+The matching is Kuhn's augmenting paths with each bus's feasible lines
+held as one bitset.  Buses are roots in index order, each with a fresh
+set of seen lines, and a root's search always takes the lowest-index
+line it has not yet seen; that rule fixes which maximum matching, and
+so which charging deadlines, the week gets.
 """
 
 from __future__ import annotations
@@ -123,17 +129,20 @@ class FleetAssignment:
         return len(self.matched)
 
 
-def ready_time_index(bus: ArrivingBus, horizon: Horizon, charge_rate_kw: float) -> int:
-    """First interval boundary by which the bus can be full.
+def ready_time_index(
+    buses: Sequence[ArrivingBus], horizon: Horizon, charge_rate_kw: float
+) -> np.ndarray:
+    """First interval boundary by which each bus can be full.
 
     Whole charging intervals are counted from the interval-ceiled
     arrival, so ``deadline_index - arrival_index`` intervals at the
     charger rate always cover the energy need.
     """
-    arrival_index = horizon.index_ceil(bus.arrival)
+    arrival_index = horizon.index_ceil([bus.arrival for bus in buses])
     rate_kwh = charge_rate_kw * horizon.interval_hours
-    intervals = int(np.ceil((bus.energy_needed_kwh - ENERGY_ATOL) / rate_kwh))
-    return arrival_index + max(intervals, 0)
+    need = np.array([bus.energy_needed_kwh for bus in buses], dtype=float)
+    intervals = np.ceil((need - ENERGY_ATOL) / rate_kwh).astype(np.int64)
+    return arrival_index + np.maximum(intervals, 0)
 
 
 def build_edges(
@@ -141,64 +150,74 @@ def build_edges(
     lines: Sequence[LineRecord],
     horizon: Horizon,
     charge_rate_kw: float = DEFAULT_CHARGE_RATE_KW,
-) -> tuple[tuple[int, int], ...]:
-    """Feasible (bus index, line index) pairs.
+) -> list[int]:
+    """Each bus's feasible lines as a bitset: bit ``l`` of entry ``b`` is
+    set when bus ``b`` can take line ``l``.
 
     An edge requires the same bus type and enough dwell time: the bus's
     full-charge readiness must not pass the line's interval-floored
-    start.
+    start.  Within a bus type a bus's lines are therefore a suffix of the
+    type's lines in start order, one of the suffix unions.
     """
     if not charge_rate_kw > 0:
         raise ValueError("charge rate must be positive")
-    ready = np.array([ready_time_index(bus, horizon, charge_rate_kw) for bus in buses], dtype=np.int64)
-    starts = np.array([horizon.index_floor(line.start) for line in lines], dtype=np.int64)
-    bus_types = np.array([bus.bus_type for bus in buses], dtype=object)
-    line_types = np.array([line.bus_type for line in lines], dtype=object)
-    # Row-major order is (bus, line) order, the order match tries edges in.
-    b, l = np.nonzero((bus_types[:, None] == line_types) & (ready[:, None] <= starts))
-    return tuple(zip(b.tolist(), l.tolist()))
+    ready = ready_time_index(buses, horizon, charge_rate_kw)
+    starts = horizon.index_floor([line.start for line in lines])
+    rows = [0] * len(buses)
+    for bus_type in BusType:
+        of_type = np.flatnonzero([line.bus_type is bus_type for line in lines])
+        of_type = of_type[np.argsort(starts[of_type])]
+        unions = [0]  # unions[k]: the lines from start rank k on
+        for l in reversed(of_type.tolist()):
+            unions.append(unions[-1] | 1 << l)
+        unions.reverse()
+        takers = np.flatnonzero([bus.bus_type is bus_type for bus in buses])
+        ranks = np.searchsorted(starts[of_type], ready[takers], side="left")
+        for b, k in zip(takers.tolist(), ranks.tolist()):
+            rows[b] = unions[k]
+    return rows
 
 
 def match(
     buses: Sequence[ArrivingBus],
     lines: Sequence[LineRecord],
-    edges: Iterable[tuple[int, int]],
+    edges: Sequence[int],
     fallback_deadline: datetime,
 ) -> FleetAssignment:
-    """Maximum-cardinality assignment via augmenting paths."""
-    adjacency: list[list[int]] = [[] for _ in buses]
-    for b, l in edges:
-        adjacency[b].append(l)
+    """Maximum-cardinality assignment via augmenting paths.
+
+    ``edges[b]`` holds bus ``b``'s feasible lines as a bitset, as
+    :func:`build_edges` gives them.  Each bus in turn roots a depth-first
+    search with no line seen; the search always takes the lowest-index
+    line of its deepest bus that it has not yet seen, and backs up when
+    that bus has none left.  The path is kept on an explicit stack, so
+    chains as long as the fleet cannot exhaust recursion.
+    """
     line_owner = [-1] * len(lines)
-
-    def augment(root: int, seen: list[bool]) -> bool:
-        # Depth-first search for an augmenting path from `root`, trying
-        # each bus's lines in edge order.  The path is kept on an explicit
-        # stack, so chains as long as the fleet cannot exhaust recursion.
-        untried = iter(adjacency[root])  # lines left to try for the deepest bus
-        path: list[tuple] = []  # (untried lines, line taken) per bus above it
+    all_lines = (1 << len(lines)) - 1
+    for root in range(len(buses)):
+        unseen = all_lines
+        taken: list[int] = []  # the path's lines; each one's owner is the next bus
+        bus = root
         while True:
-            for l in untried:
-                if not seen[l]:
+            free = edges[bus] & unseen
+            if free:
+                bit = free & -free
+                unseen ^= bit
+                line = bit.bit_length() - 1
+                taken.append(line)
+                bus = line_owner[line]
+                if bus < 0:
+                    # Each line on the path passes to the bus before it.
+                    bus = root
+                    for line in taken:
+                        bus, line_owner[line] = line_owner[line], bus
                     break
+            elif taken:
+                taken.pop()
+                bus = line_owner[taken[-1]] if taken else root
             else:
-                if not path:
-                    return False
-                untried, _ = path.pop()
-                continue
-            seen[l] = True
-            owner = line_owner[l]
-            if owner < 0:
-                # Each line on the path passes to the bus before it.
-                bus = root
-                for line in [line for _, line in path] + [l]:
-                    bus, line_owner[line] = line_owner[line], bus
-                return True
-            path.append((untried, l))
-            untried = iter(adjacency[owner])
-
-    for b in range(len(buses)):
-        augment(b, [False] * len(lines))
+                break
 
     bus_to_line = {b: l for l, b in enumerate(line_owner) if b >= 0}
     matched = tuple(
@@ -252,33 +271,34 @@ def to_jobs(
     no charging and produces no job.
     """
     rate_kwh = charge_rate_kw * horizon.interval_hours
-    jobs = []
+    pairs = []
     for assignment in assignments:
-        pairs = [(bus, line.start) for bus, line in assignment.matched]
+        pairs += [(bus, line.start) for bus, line in assignment.matched]
         pairs += [(bus, assignment.fallback_deadline) for bus in assignment.unmatched]
-        for bus, deadline in pairs:
-            arrival = horizon.clip(horizon.index_ceil(bus.arrival))
-            departure = horizon.clip(horizon.index_floor(deadline))
-            energy = bus.energy_needed_kwh
-            if departure <= arrival:
-                if energy <= ENERGY_ATOL:
-                    continue
-                raise WindowInfeasibleError(
-                    f"bus {bus.bus_id!r}: no charging interval before its deadline"
-                )
-            width = departure - arrival
-            if energy > rate_kwh * width + ENERGY_ATOL:
-                raise WindowInfeasibleError(
-                    f"bus {bus.bus_id!r}: needs {energy} kWh but only "
-                    f"{rate_kwh * width} kWh fit before the deadline"
-                )
-            jobs.append(
-                Job(
-                    id=bus.bus_id,
-                    arrival=arrival,
-                    departure=departure,
-                    energy_kwh=min(energy, rate_kwh * width),
-                    max_rate_kwh=rate_kwh,
-                )
+    arrivals = horizon.clip(horizon.index_ceil([bus.arrival for bus, _ in pairs]))
+    departures = horizon.clip(horizon.index_floor([deadline for _, deadline in pairs]))
+    jobs = []
+    for (bus, _), arrival, departure in zip(pairs, arrivals.tolist(), departures.tolist()):
+        energy = bus.energy_needed_kwh
+        if departure <= arrival:
+            if energy <= ENERGY_ATOL:
+                continue
+            raise WindowInfeasibleError(
+                f"bus {bus.bus_id!r}: no charging interval before its deadline"
             )
+        width = departure - arrival
+        if energy > rate_kwh * width + ENERGY_ATOL:
+            raise WindowInfeasibleError(
+                f"bus {bus.bus_id!r}: needs {energy} kWh but only "
+                f"{rate_kwh * width} kWh fit before the deadline"
+            )
+        jobs.append(
+            Job(
+                id=bus.bus_id,
+                arrival=arrival,
+                departure=departure,
+                energy_kwh=min(energy, rate_kwh * width),
+                max_rate_kwh=rate_kwh,
+            )
+        )
     return tuple(jobs)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ ENERGY_ATOL = 1e-6
 EXCHANGE_ATOL = 1e-5
 
 _GRID_SNAP = 1e-9  # fraction of an interval treated as "already on the grid"
+_MICROSECOND = timedelta(microseconds=1)
 
 
 @dataclass(frozen=True)
@@ -61,21 +62,30 @@ class Horizon:
         """Wall-clock time of interval boundary ``index``."""
         return self.start + timedelta(hours=index * self.interval_hours)
 
-    def index_floor(self, when: datetime) -> int:
+    def index_floor(self, when: datetime | Sequence[datetime]) -> int | np.ndarray:
         """Largest interval boundary at or before ``when``."""
         return self._index(when, np.floor)
 
-    def index_ceil(self, when: datetime) -> int:
+    def index_ceil(self, when: datetime | Sequence[datetime]) -> int | np.ndarray:
         """Smallest interval boundary at or after ``when``."""
         return self._index(when, np.ceil)
 
-    def _index(self, when: datetime, rounding) -> int:
-        off = (when - self.start).total_seconds() / 3600.0 / self.interval_hours
-        nearest = round(off)
-        return int(nearest if abs(off - nearest) <= _GRID_SNAP else rounding(off))
+    def _index(self, when: datetime | Sequence[datetime], rounding) -> int | np.ndarray:
+        # One datetime gives an int, a sequence of them an int64 array.
+        # Whole microseconds over 1e6 are exactly what
+        # ``timedelta.total_seconds()`` gives; a point within _GRID_SNAP
+        # of a boundary is taken to be on it.
+        single = isinstance(when, datetime)
+        micros = [(t - self.start) // _MICROSECOND for t in ([when] if single else when)]
+        off = np.array(micros, dtype=np.int64) / 1e6 / 3600.0 / self.interval_hours
+        nearest = np.rint(off)
+        index = np.where(np.abs(off - nearest) <= _GRID_SNAP, nearest, rounding(off))
+        index = index.astype(np.int64)
+        return int(index[0]) if single else index
 
-    def clip(self, index: int) -> int:
-        return min(max(index, 0), self.interval_count)
+    def clip(self, index):
+        """``index`` clamped to ``[0, interval_count]``, elementwise for an array."""
+        return np.clip(index, 0, self.interval_count)
 
 
 @dataclass(frozen=True)

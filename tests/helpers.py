@@ -148,3 +148,40 @@ def assert_exchange_optimal(
             assert worst_donor <= best_receiver + tol, (
                 f"job {job.id}: level {worst_donor} could shed into level {best_receiver}"
             )
+
+
+def reference_match(bus_count: int, line_count: int, edges) -> list[tuple[int, int]]:
+    """Kuhn's augmenting paths over (bus, line) edge tuples, each bus's
+    lines tried in edge order through a list iterator: the matching
+    ``matching.match`` ran before its bitset search.  Returns the matched
+    (bus, line) pairs in bus order."""
+    adjacency: list[list[int]] = [[] for _ in range(bus_count)]
+    for b, l in edges:
+        adjacency[b].append(l)
+    line_owner = [-1] * line_count
+
+    def augment(root: int, seen: list[bool]) -> bool:
+        untried = iter(adjacency[root])  # lines left to try for the deepest bus
+        path: list[tuple] = []  # (untried lines, line taken) per bus above it
+        while True:
+            for l in untried:
+                if not seen[l]:
+                    break
+            else:
+                if not path:
+                    return False
+                untried, _ = path.pop()
+                continue
+            seen[l] = True
+            owner = line_owner[l]
+            if owner < 0:
+                bus = root
+                for line in [line for _, line in path] + [l]:
+                    bus, line_owner[line] = line_owner[line], bus
+                return True
+            path.append((untried, l))
+            untried = iter(adjacency[owner])
+
+    for b in range(bus_count):
+        augment(b, [False] * line_count)
+    return sorted((b, l) for l, b in enumerate(line_owner) if b >= 0)

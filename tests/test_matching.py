@@ -1,5 +1,6 @@
 """Tests for bus-to-line matching and job derivation."""
 
+import functools
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -19,10 +20,10 @@ from depotcharge.matching import (
     ready_time_index,
     to_jobs,
 )
-from depotcharge.model import check_feasible, Instance
-from depotcharge.synth import synth_timetable, week_horizon
+from depotcharge.model import check_feasible, Instance, Job
+from depotcharge.synth import TimetableProfile, synth_timetable, week_horizon
 
-from helpers import WEEK_START, make_horizon
+from helpers import WEEK_START, make_horizon, reference_match
 
 WEEK = make_horizon(7 * 96)
 
@@ -82,17 +83,17 @@ class TestReadyTime:
         # 61 kWh at 30 kW lasts 2 h 2 min; whole intervals round that up
         # to 20:15 for an 18:00 arrival.
         bus = bus_at(18.0, soc=61.0)
-        index = ready_time_index(bus, WEEK, charge_rate_kw=30.0)
+        (index,) = ready_time_index([bus], WEEK, charge_rate_kw=30.0)
         assert WEEK.timestamp(index) == WEEK_START + timedelta(hours=20.25)
 
     def test_exact_multiple_does_not_round_up(self):
         bus = bus_at(18.0, soc=62.0)  # 60 kWh is exactly 8 intervals
-        index = ready_time_index(bus, WEEK, charge_rate_kw=30.0)
+        (index,) = ready_time_index([bus], WEEK, charge_rate_kw=30.0)
         assert WEEK.timestamp(index) == WEEK_START + timedelta(hours=20.0)
 
     def test_full_bus_is_ready_on_arrival(self):
         bus = bus_at(18.0, soc=122.0)
-        index = ready_time_index(bus, WEEK, charge_rate_kw=30.0)
+        (index,) = ready_time_index([bus], WEEK, charge_rate_kw=30.0)
         assert WEEK.timestamp(index) == WEEK_START + timedelta(hours=18.0)
 
 
@@ -100,7 +101,7 @@ class TestBuildEdges:
     def test_overnight_dwell_creates_edge(self):
         buses = [bus_at(18.0, soc=61.0)]
         lines = [small_line("l1", 1, 6.0, 10.0)]
-        assert build_edges(buses, lines, WEEK) == ((0, 0),)
+        assert build_edges(buses, lines, WEEK) == [0b1]
 
     def test_insufficient_time_blocks_edge(self):
         # 240 kWh needs 8 h at 30 kW; 05:00 to 07:00 is not enough.
@@ -115,42 +116,76 @@ class TestBuildEdges:
                 soc_after_kwh=50.0,
             )
         ]
-        assert build_edges(buses, lines, WEEK) == ()
+        assert build_edges(buses, lines, WEEK) == [0]
 
     def test_no_lines_means_no_edges(self):
-        assert build_edges([bus_at(18.0, 61.0)], [], WEEK) == ()
+        assert build_edges([bus_at(18.0, 61.0)], [], WEEK) == [0]
 
     def test_bus_type_must_agree(self):
         buses = [bus_at(18.0, soc=100.0, bus_type=BusType.LARGE)]
         lines = [small_line("l1", 1, 6.0, 10.0)]
-        assert build_edges(buses, lines, WEEK) == ()
+        assert build_edges(buses, lines, WEEK) == [0]
 
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
             build_edges([], [], WEEK, charge_rate_kw=0.0)
 
     def test_no_buses_means_no_edges(self):
-        assert build_edges([], [small_line("l1", 1, 6.0, 10.0)], WEEK) == ()
+        assert build_edges([], [small_line("l1", 1, 6.0, 10.0)], WEEK) == []
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_synthetic_week_matches_a_double_loop(self, seed):
-        # The edges, in the (bus, line) order match tries them in, on every
-        # evening of a synthetic week.
+        # Each bus's bitset, bit l for line l, on every evening of a
+        # synthetic week, against a double loop over scalar start indices.
         horizon = week_horizon()
-        by_day = {}
-        for line in synth_timetable(seed=seed).lines:
-            by_day.setdefault(line.day, []).append(line)
-        for day, arriving in by_day.items():
-            buses = [ArrivingBus.from_line(line) for line in arriving]
-            lines = by_day.get(day + 1, [])
-            expected = tuple(
-                (b, l)
+        for buses, lines in synthetic_evenings(seed, 1):
+            ready = ready_time_index(buses, horizon, 30.0)
+            expected = [
+                sum(
+                    1 << l
+                    for l, line in enumerate(lines)
+                    if bus.bus_type is line.bus_type
+                    and ready[b] <= horizon.index_floor(line.start)
+                )
                 for b, bus in enumerate(buses)
-                for l, line in enumerate(lines)
-                if bus.bus_type is line.bus_type
-                and ready_time_index(bus, horizon, 30.0) <= horizon.index_floor(line.start)
-            )
+            ]
             assert build_edges(buses, lines, horizon, 30.0) == expected
+
+
+@functools.lru_cache(maxsize=None)
+def synthetic_evenings(seed, scale):
+    """(arriving buses, next day's lines) per evening of the seed's roster
+    with ``scale`` times the default lines per day."""
+    counts = tuple(scale * count for count in TimetableProfile().lines_per_day)
+    by_day = {}
+    for line in synth_timetable(seed=seed, profile=TimetableProfile(lines_per_day=counts)).lines:
+        by_day.setdefault(line.day, []).append(line)
+    return tuple(
+        ([ArrivingBus.from_line(line) for line in arriving], by_day.get(day + 1, []))
+        for day, arriving in sorted(by_day.items())
+    )
+
+
+def as_bitsets(nb, edges):
+    rows = [0] * nb
+    for b, l in edges:
+        rows[b] |= 1 << l
+    return rows
+
+
+def as_edges(rows):
+    """(bus, line) tuples in (bus, line) order."""
+    return tuple(
+        (b, l) for b, row in enumerate(rows) for l in range(row.bit_length()) if row >> l & 1
+    )
+
+
+def index_pairs(assignment, buses, lines):
+    bus_index = {bus.bus_id: b for b, bus in enumerate(buses)}
+    line_index = {line.line_id: l for l, line in enumerate(lines)}
+    return sorted(
+        (bus_index[bus.bus_id], line_index[line.line_id]) for bus, line in assignment.matched
+    )
 
 
 def random_bipartite(rng, max_side=8, density=0.4):
@@ -177,7 +212,30 @@ def matching_by_flow(nb, nl, edges):
 def run_match(nb, nl, edges):
     buses = [bus_at(18.0, soc=61.0, bus_id=f"b{k}") for k in range(nb)]
     lines = [small_line(f"l{k}", 1, 6.0, 10.0) for k in range(nl)]
-    return match(buses, lines, edges, fallback_deadline=WEEK.end)
+    return match(buses, lines, as_bitsets(nb, edges), fallback_deadline=WEEK.end)
+
+
+def run_pairs(nb, nl, edges):
+    """``run_match``'s (bus, line) index pairs, sorted."""
+    matched = run_match(nb, nl, edges).matched
+    return sorted((int(bus.bus_id[1:]), int(line.line_id[1:])) for bus, line in matched)
+
+
+def random_nested(rng, max_side=30):
+    """Two bus types; a bus takes the lines of its type that start at or
+    after its ready index, so each type's neighbourhoods are suffixes in
+    start order, as ``build_edges`` gives them."""
+    nb = int(rng.integers(1, max_side + 1))
+    nl = int(rng.integers(1, max_side + 1))
+    bus_types, line_types = rng.integers(0, 2, nb), rng.integers(0, 2, nl)
+    ready, starts = rng.integers(0, 12, nb), rng.integers(0, 12, nl)
+    edges = tuple(
+        (b, l)
+        for b in range(nb)
+        for l in range(nl)
+        if bus_types[b] == line_types[l] and ready[b] <= starts[l]
+    )
+    return nb, nl, edges
 
 
 class TestMatch:
@@ -224,6 +282,45 @@ class TestMatch:
             allowed = {(f"b{b}", f"l{l}") for b, l in edges}
             for bus, line in assignment.matched:
                 assert (bus.bus_id, line.line_id) in allowed
+
+
+class TestAgainstReference:
+    """The bitset search picks the very pairs of the list-iterator Kuhn."""
+
+    def test_random_bipartite_graphs(self):
+        rng = np.random.default_rng(44)
+        for _ in range(400):
+            density = float(rng.uniform(0.1, 0.9))
+            nb, nl, edges = random_bipartite(rng, max_side=12, density=density)
+            assert run_pairs(nb, nl, edges) == reference_match(nb, nl, edges)
+
+    def test_random_nested_two_type_graphs(self):
+        rng = np.random.default_rng(45)
+        for _ in range(200):
+            nb, nl, edges = random_nested(rng)
+            assert run_pairs(nb, nl, edges) == reference_match(nb, nl, edges)
+
+    @pytest.mark.parametrize(
+        "seed, scale",
+        [(seed, 1) for seed in range(6)]
+        + [(seed, 4) for seed in range(6)]
+        + [(seed, 10) for seed in range(3)],
+    )
+    def test_every_synthetic_evening(self, seed, scale):
+        horizon = week_horizon()
+        for buses, lines in synthetic_evenings(seed, scale):
+            rows = build_edges(buses, lines, horizon)
+            assignment = match(buses, lines, rows, horizon.end)
+            expected = reference_match(len(buses), len(lines), as_edges(rows))
+            assert index_pairs(assignment, buses, lines) == expected
+
+    def test_fleet_scale_cardinality_agrees_with_max_flow(self):
+        horizon = week_horizon()
+        for buses, lines in synthetic_evenings(0, 10):
+            rows = build_edges(buses, lines, horizon)
+            assignment = match(buses, lines, rows, horizon.end)
+            flow = matching_by_flow(len(buses), len(lines), as_edges(rows))
+            assert assignment.cardinality == flow
 
 
 class TestMatchWeek:
@@ -309,3 +406,50 @@ class TestToJobs:
         jobs = to_jobs(match_week(lines, WEEK), WEEK)
         instance = Instance(horizon=WEEK, jobs=jobs)
         assert check_feasible(instance).feasible
+
+    def test_first_infeasible_bus_in_matched_then_unmatched_order(self):
+        # The full bus has no interval before its line and is skipped.  Of
+        # the two short buses, the unmatched one arrives first, but matched
+        # buses come first, and the first assignment before the second.
+        full = bus_at(23.9, soc=122.0, day=0, bus_id="full")
+        early = bus_at(17.0, soc=61.0, day=0, bus_id="early")
+        short = bus_at(18.0, soc=61.0, day=0, bus_id="short")
+        first = FleetAssignment(
+            matched=(
+                (full, small_line("l0", 0, 23.5, 23.8)),
+                (short, small_line("l1", 0, 19.0, 23.0)),
+            ),
+            unmatched=(early,),
+            fallback_deadline=WEEK_START + timedelta(hours=17.0),
+        )
+        second = FleetAssignment(
+            matched=((bus_at(6.0, soc=61.0, day=1, bus_id="late"), small_line("l2", 1, 6.5, 9.0)),),
+            unmatched=(),
+            fallback_deadline=WEEK.end,
+        )
+        with pytest.raises(WindowInfeasibleError) as raised:
+            to_jobs([first, second], WEEK)
+        assert str(raised.value) == (
+            "bus 'short': needs 61.0 kWh but only 30.0 kWh fit before the deadline"
+        )
+        first = FleetAssignment(
+            matched=first.matched[:1], unmatched=first.unmatched,
+            fallback_deadline=first.fallback_deadline,
+        )
+        with pytest.raises(WindowInfeasibleError) as raised:
+            to_jobs([first, second], WEEK)
+        assert str(raised.value) == "bus 'early': no charging interval before its deadline"
+
+    def test_every_job_passes_its_own_validation(self, monkeypatch):
+        horizon = week_horizon()
+        assignments = match_week(synth_timetable(seed=0).lines, horizon)
+        validated = []
+        post_init = Job.__post_init__
+
+        def counted(job):
+            validated.append(job.id)
+            post_init(job)
+
+        monkeypatch.setattr(Job, "__post_init__", counted)
+        jobs = to_jobs(assignments, horizon)
+        assert validated == [job.id for job in jobs]

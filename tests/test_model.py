@@ -51,6 +51,45 @@ class TestHorizon:
         assert horizon.clip(2) == 2
         assert horizon.clip(9) == 4
 
+    def test_scalar_and_array_index_agree(self):
+        # A point within 1e-9 of an interval from a boundary is on it.  At
+        # 15 minutes 1 us is 1.1e-9 of an interval; at an hour 3 us is
+        # 8.3e-10 and 4 us is 1.1e-9.
+        us = timedelta(microseconds=1)
+        quarter = Horizon(start=WEEK_START, interval_count=96)
+        hourly = Horizon(start=WEEK_START, interval_count=48, interval_hours=1.0)
+        half = WEEK_START + timedelta(minutes=30)
+        five = WEEK_START + timedelta(hours=5)
+        cases = {
+            quarter: [
+                (half, 2, 2),  # on the grid
+                (half + us, 2, 3),
+                (half - us, 1, 2),
+                (WEEK_START - timedelta(minutes=40), -3, -2),  # before the start
+                (WEEK_START + timedelta(days=2, minutes=10), 192, 193),  # past the end
+            ],
+            hourly: [
+                (five, 5, 5),
+                (five + 3 * us, 5, 5),  # inside the snap
+                (five - 3 * us, 5, 5),
+                (five + 4 * us, 5, 6),  # just outside it
+                (five - 4 * us, 4, 5),
+                (WEEK_START - 4 * us, -1, 0),  # outside the snap, before the start
+                (WEEK_START + timedelta(hours=48) + 4 * us, 48, 49),  # and past the end
+            ],
+        }
+        for horizon, rows in cases.items():
+            stamps, floors, ceils = (list(column) for column in zip(*rows))
+            assert [horizon.index_floor(t) for t in stamps] == floors
+            assert [horizon.index_ceil(t) for t in stamps] == ceils
+            assert all(type(horizon.index_floor(t)) is int for t in stamps)
+            assert horizon.index_floor(stamps).tolist() == floors
+            assert horizon.index_ceil(stamps).tolist() == ceils
+            assert horizon.index_floor(stamps).dtype == np.int64
+            assert horizon.clip(horizon.index_ceil(stamps)).tolist() == [
+                horizon.clip(c) for c in ceils
+            ]
+
 
 class TestJobValidation:
     def test_rejects_empty_window(self):
